@@ -1,0 +1,81 @@
+"""Full-precision golden ledger gate.
+
+tests/golden/ledger.csv holds every BoundsRecord field, written with repr,
+for the four figure presets at 51 time points plus fig 4 with the other
+memory level decaying.  The file was written by the per-state (Jacobi)
+engine; any later engine must reproduce every column within GOLDEN_ATOL.
+The rendered 12-digit CSV cannot carry this gate: its last digit flips
+under roundoff-level changes.
+
+Regenerate (only when a change of the values is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from eulb.bounds import BoundsRecord
+from eulb.sweep import figure_preset, run_sweep
+
+GOLDEN = Path(__file__).with_name("golden") / "ledger.csv"
+GOLDEN_ATOL = 1e-12
+STEPS = 51
+FIELDS = [f.name for f in dataclasses.fields(BoundsRecord)]
+CASES = {
+    "fig2": (2, 0),
+    "fig3": (3, 0),
+    "fig4": (4, 0),
+    "fig5": (5, 0),
+    "fig4_excited1": (4, 1),
+}
+
+
+def case_config(case: str):
+    fig, excited = CASES[case]
+    return dataclasses.replace(figure_preset(fig), steps=STEPS, excited_label=excited)
+
+
+def load_golden() -> dict[str, list[tuple[int, list[float]]]]:
+    lines = GOLDEN.read_text(encoding="ascii").splitlines()
+    assert lines[0] == ",".join(["case", "n", *FIELDS])
+    out: dict[str, list[tuple[int, list[float]]]] = {}
+    for line in lines[1:]:
+        case, n, *values = line.split(",")
+        out.setdefault(case, []).append((int(n), [float(v) for v in values]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return load_golden()
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_ledger_matches_golden(golden, case):
+    expected = golden[case]
+    rows = run_sweep(case_config(case)).rows
+    assert [n for n, _ in rows] == [n for n, _ in expected]
+    worst = {}
+    for (_, rec), (_, want) in zip(rows, expected):
+        for name, w in zip(FIELDS, want):
+            worst[name] = max(worst.get(name, 0.0), abs(getattr(rec, name) - w))
+    bad = {name: dev for name, dev in worst.items() if dev > GOLDEN_ATOL}
+    assert not bad, f"{case}: columns off the golden ledger: {bad}"
+
+
+def write_golden() -> None:
+    lines = [",".join(["case", "n", *FIELDS])]
+    for case in CASES:
+        for n, rec in run_sweep(case_config(case)).rows:
+            lines.append(",".join([case, str(n)] + [repr(float(getattr(rec, f))) for f in FIELDS]))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+if __name__ == "__main__":
+    write_golden()
