@@ -13,6 +13,11 @@ definitions.  The closed-form expressions for the two reference state
 families (evolved maximally entangled and evolved Bell-diagonal at p=1/2)
 are audit targets only: several of them are internally inconsistent, and
 closed_form_report quantifies the mismatch instead of using them.
+
+The ledger functions take one 4x4 state or a (..., 4, 4) stack, such as
+one state per time point, through the same code; for a stack their
+results carry the stack axes.  The closed-form audit works on one
+amplitude at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_in
 from .linalg import (
     IDENTITY_2,
     binary_entropy,
-    eigenvalues_hermitian,
     partial_trace,
     tensor_product,
     von_neumann_entropy,
@@ -87,6 +91,22 @@ def post_measurement_state(rho: np.ndarray, obs: Observable) -> np.ndarray:
     return out
 
 
+def _branches(rho: np.ndarray, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Measure obs on A: outcome probabilities p_i = Tr sigma_i, shape (..., 2), and
+    the unnormalised memory states sigma_i = <q_i|rho|q_i>, shape (..., 2, 2, 2)."""
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # [..., a, b, a', b']
+    sigma = np.einsum("ia,...abcd,ic->...ibd", obs.kets.conj(), r, obs.kets)
+    return np.einsum("...ibb->...i", sigma).real, sigma
+
+
+def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """S(rho_B) - sum_i p_i S(sigma_i / p_i), from the branch probabilities p and
+    the entropies h of the unnormalised branch spectra, using
+    p S(sigma/p) = h + p log2 p.  Zero-probability outcomes contribute 0."""
+    live = p > ZERO_PROBABILITY_TOL
+    return s_b - np.sum(np.where(live, h + p * np.log2(np.where(live, p, 1.0)), 0.0), axis=-1)
+
+
 @dataclass
 class MeasurementResult:
     """Outcome probabilities and the memory states conditioned on each outcome."""
@@ -97,58 +117,33 @@ class MeasurementResult:
 
 
 def measure(rho: np.ndarray, obs: Observable) -> MeasurementResult:
-    """Measure obs on A; zero-probability outcomes yield I/2 with a flag set."""
-    rho = np.asarray(rho, dtype=complex)
-    probs = []
-    conds = []
-    flags = []
-    for m in obs.full_projectors():
-        sub = m @ rho @ m
-        p = max(float(sub.trace().real), 0.0)
-        if p <= ZERO_PROBABILITY_TOL:
-            probs.append(0.0)
-            conds.append(IDENTITY_2 / 2.0)
-            flags.append(True)
-        else:
-            probs.append(p)
-            conds.append(partial_trace(sub, "B") / p)
-            flags.append(False)
+    """Measure obs on A; zero-probability outcomes yield I/2 with a flag set.
+
+    For a (..., 4, 4) stack every field gains the stack axes.
+    """
+    p, sigma = _branches(np.asarray(rho, dtype=complex), obs)
+    zero = p <= ZERO_PROBABILITY_TOL
+    conds = np.where(
+        zero[..., None, None], IDENTITY_2 / 2.0, sigma / np.where(zero, 1.0, p)[..., None, None]
+    )
     return MeasurementResult(
-        probabilities=np.array(probs),
-        conditional_memory_states=conds,
-        zero_probability=(flags[0], flags[1]),
+        probabilities=np.where(zero, 0.0, p),
+        conditional_memory_states=[conds[..., 0, :, :], conds[..., 1, :, :]],
+        zero_probability=(zero[..., 0], zero[..., 1]),
     )
 
 
-def _entropy_rescaled(evals: np.ndarray, p: float) -> float:
-    # entropy of evals/p with clamping done before the division, so that
-    # roundoff-negative eigenvalues of a tiny-probability branch cannot blow up
-    s = 0.0
-    for e in evals:
-        if e > 0.0:
-            q = float(e) / p
-            s -= q * math.log2(q)
-    return max(s, 0.0)
-
-
-def holevo(rho: np.ndarray, obs: Observable) -> float:
+def holevo(rho: np.ndarray, obs: Observable) -> float | np.ndarray:
     """Accessible information S(rho_B) - sum_i p_i S(rho_B|i) of the memory about obs.
 
     Zero-probability outcomes contribute 0 to the sum.
     """
     rho = np.asarray(rho, dtype=complex)
-    result = von_neumann_entropy(partial_trace(rho, "B"))
-    for m in obs.full_projectors():
-        sub = m @ rho @ m
-        p = float(sub.trace().real)
-        if p <= ZERO_PROBABILITY_TOL:
-            continue
-        evals = eigenvalues_hermitian(partial_trace(sub, "B"))
-        result -= p * _entropy_rescaled(evals, p)
-    return result
+    p, sigma = _branches(rho, obs)
+    return _holevo(von_neumann_entropy(partial_trace(rho, "B")), p, von_neumann_entropy(sigma))
 
 
-def mutual_information(rho: np.ndarray) -> float:
+def mutual_information(rho: np.ndarray) -> float | np.ndarray:
     """I(A;B) = S(A) + S(B) - S(AB) in bits."""
     rho = np.asarray(rho, dtype=complex)
     return (
@@ -158,35 +153,37 @@ def mutual_information(rho: np.ndarray) -> float:
     )
 
 
-def conditional_entropy(rho: np.ndarray) -> float:
+def conditional_entropy(rho: np.ndarray) -> float | np.ndarray:
     """S(A|B) = S(AB) - S(B); negative for sufficiently entangled states."""
     rho = np.asarray(rho, dtype=complex)
     return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, "B"))
 
 
-def uncertainty_left(rho: np.ndarray, q: Observable, r: Observable) -> float:
+def uncertainty_left(rho: np.ndarray, q: Observable, r: Observable) -> float | np.ndarray:
     """S(Q|B) + S(R|B), each term S(post-measurement state) - S(rho_B)."""
-    rho = np.asarray(rho, dtype=complex)
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    s_q = von_neumann_entropy(post_measurement_state(rho, q))
-    s_r = von_neumann_entropy(post_measurement_state(rho, r))
-    return (s_q - s_b) + (s_r - s_b)
+    return bounds_record(rho, q, r).u_left
 
 
-def berta_bound(rho: np.ndarray, q: Observable, r: Observable) -> float:
+def berta_bound(rho: np.ndarray, q: Observable, r: Observable) -> float | np.ndarray:
     """log2(1/c) + S(A|B)."""
-    return math.log2(1.0 / complementarity(q, r)) + conditional_entropy(rho)
+    return bounds_record(rho, q, r).berta
 
 
-def adabi_bound(rho: np.ndarray, q: Observable, r: Observable) -> tuple[float, float]:
+def adabi_bound(
+    rho: np.ndarray, q: Observable, r: Observable
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Tightened bound berta + max(0, delta); returns (bound, delta)."""
-    delta = mutual_information(rho) - holevo(rho, q) - holevo(rho, r)
-    return berta_bound(rho, q, r) + max(0.0, delta), delta
+    rec = bounds_record(rho, q, r)
+    return rec.adabi, rec.delta
 
 
 @dataclass(frozen=True)
 class BoundsRecord:
-    """Full information ledger for one time point of a sweep (all values in bits)."""
+    """Full information ledger for one time point of a sweep (all values in bits).
+
+    bounds_record on a (..., 4, 4) stack returns one record whose fields are
+    arrays over the stack axes.
+    """
 
     t: float
     amplitude: float
@@ -209,44 +206,32 @@ def bounds_record(
 ) -> BoundsRecord:
     """Compute every BoundsRecord field, sharing the spectral decompositions.
 
-    Equivalent to calling the individual operations; fused because sweeps
-    evaluate this for thousands of time points.
+    rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude broadcast
+    against the stack axes.  uncertainty_left, berta_bound and adabi_bound
+    return fields of this record.
     """
     rho = np.asarray(rho, dtype=complex)
-    s_a = von_neumann_entropy(partial_trace(rho, "A"))
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
+    p_q, sigma_q = _branches(rho, q)
+    p_r, sigma_r = _branches(rho, r)
+    # One batched 2x2 solve gives S(A), S(B) and the branch entropies.  The
+    # post-measurement state is block diagonal in the measured basis, so
+    # its entropy is the sum of its branches' entropies.
+    marginals = np.stack([partial_trace(rho, "A"), partial_trace(rho, "B")], axis=-3)
+    s = von_neumann_entropy(np.concatenate([marginals, sigma_q, sigma_r], axis=-3))
+    s_a, s_b, h_q, h_r = s[..., 0], s[..., 1], s[..., 2:4], s[..., 4:6]
     s_ab = von_neumann_entropy(rho)
-
-    def measured(obs: Observable) -> tuple[float, float]:
-        subs = [m @ rho @ m for m in obs.full_projectors()]
-        s_post = von_neumann_entropy(subs[0] + subs[1])
-        hol = s_b
-        for sub in subs:
-            p = float(sub.trace().real)
-            if p <= ZERO_PROBABILITY_TOL:
-                continue
-            evals = eigenvalues_hermitian(partial_trace(sub, "B"))
-            hol -= p * _entropy_rescaled(evals, p)
-        return s_post, hol
-
-    s_post_q, hol_q = measured(q)
-    s_post_r, hol_r = measured(r)
+    hol_q = _holevo(s_b, p_q, h_q)
+    hol_r = _holevo(s_b, p_r, h_r)
     mi = s_a + s_b - s_ab
     ce = s_ab - s_b
     delta = mi - hol_q - hol_r
     berta = math.log2(1.0 / complementarity(q, r)) + ce
-    return BoundsRecord(
-        t=float(t),
-        amplitude=float(amplitude),
-        u_left=(s_post_q - s_b) + (s_post_r - s_b),
-        berta=berta,
-        adabi=berta + max(0.0, delta),
-        delta=delta,
-        holevo_q=hol_q,
-        holevo_r=hol_r,
-        mutual_info=mi,
-        cond_entropy=ce,
-    )
+    u_left = (np.sum(h_q, axis=-1) - s_b) + (np.sum(h_r, axis=-1) - s_b)
+    adabi = berta + np.maximum(0.0, delta)
+    values = (t, amplitude, u_left, berta, adabi, delta, hol_q, hol_r, mi, ce)
+    if rho.ndim == 2:
+        return BoundsRecord(*(float(v) for v in values))
+    return BoundsRecord(*np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +435,8 @@ def closed_form_report(amplitude_c: float, p: float = 0.5) -> list[FormulaCompar
                 closed_form_bell_delta,
             ),
         }[prefix]
-        s_post_x = von_neumann_entropy(post_measurement_state(rho, x))
-        s_post_z = von_neumann_entropy(post_measurement_state(rho, z))
+        s_post_x = float(von_neumann_entropy(post_measurement_state(rho, x)))
+        s_post_z = float(von_neumann_entropy(post_measurement_state(rho, z)))
         defs = (s_post_x, s_post_z, rec.u_left, rec.adabi, rec.delta)
         for fn, name, value in zip(
             closed,

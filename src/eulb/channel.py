@@ -6,7 +6,9 @@ two levels scale by c, and the lost population lands on the absorbing
 level.  The amplitude c is signed; in the strong-coupling regime it
 genuinely crosses zero.  By default the decaying level is |0>, the
 convention under which the channel reproduces the evolved maximally
-entangled matrix literally.
+entangled matrix literally.  apply_memory_decay takes one state or a
+(..., 4, 4) stack, and one amplitude or an array of them, such as a whole
+time series of C(t).
 """
 
 from __future__ import annotations
@@ -20,36 +22,35 @@ from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, tensor_product
 _AMPLITUDE_SLACK = 1e-9  # |c| may exceed 1 by roundoff from the dynamics
 
 
-def _kraus_pair(c: float, excited: int) -> tuple[np.ndarray, np.ndarray]:
-    ground = 1 - excited
-    k0 = np.zeros((2, 2), dtype=complex)
-    k0[excited, excited] = c
-    k0[ground, ground] = 1.0
-    k1 = np.zeros((2, 2), dtype=complex)
-    k1[ground, excited] = math.sqrt(1.0 - c * c)
-    return k0, k1
-
-
-def apply_memory_decay(rho: np.ndarray, c: float, excited: int = 0) -> np.ndarray:
+def apply_memory_decay(rho: np.ndarray, c, excited: int = 0) -> np.ndarray:
     """Apply the decay channel with amplitude c to the B side of a 4x4 state.
 
     Kraus elements (on B): K0 = c |e><e| + |g><g|, K1 = sqrt(1-c^2) |g><e|,
     which preserve the trace identically.  c = 1 is the identity map and
-    c = -1 a phase flip on the excited level.
+    c = -1 a phase flip on the excited level.  rho may be a (..., 4, 4)
+    stack and c an array of amplitudes; the two broadcast, so one state and
+    a series of amplitudes give one evolved state per amplitude.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    if excited not in (0, 1):
+    if isinstance(excited, (bool, np.bool_)) or excited not in (0, 1):
         raise ValueError(f"excited level must be 0 or 1, got {excited!r}")
-    c = float(c)
-    if abs(c) > 1.0 + _AMPLITUDE_SLACK:
-        raise ValueError(f"channel amplitude |{c}| > 1 would break positivity")
-    c = min(max(c, -1.0), 1.0)
-    k0, k1 = _kraus_pair(c, excited)
-    big0 = tensor_product(IDENTITY_2, k0)
-    big1 = tensor_product(IDENTITY_2, k1)
-    return big0 @ rho @ big0.conj().T + big1 @ rho @ big1.conj().T
+    c = np.asarray(c, dtype=float)
+    if np.any(np.abs(c) > 1.0 + _AMPLITUDE_SLACK):
+        raise ValueError(f"channel amplitude |{np.max(np.abs(c))}| > 1 would break positivity")
+    c = np.clip(c, -1.0, 1.0)
+    ground = 1 - excited
+    # The Kraus pair acts elementwise on the B indices of r[..., a, b, a', b']:
+    # each excited B index scales an entry by c, and the lost population
+    # (1 - c^2) of every |e><e| block moves to the |g><g| block.
+    level = np.ones(c.shape + (2,))
+    level[..., excited] = c
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    out = r * (level[..., None, :, None, None] * level[..., None, None, None, :])
+    lost = (1.0 - c * c)[..., None, None] * r[..., :, excited, :, excited]
+    out[..., :, ground, :, ground] += lost
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def max_entangled_initial() -> np.ndarray:

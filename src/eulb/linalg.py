@@ -3,6 +3,11 @@
 States are plain ``numpy`` arrays.  Two-qubit matrices use the A-major
 basis ordering |00>, |01>, |10>, |11> (flat index = 2a + b) throughout
 the package.  All entropies are in bits (base-2 logarithms).
+
+Every function except binary_entropy accepts one matrix or a stack of
+shape (..., n, n), such as one state per time point, and works on the
+whole stack through the same code: checks run once over the stack, and
+results gain the leading stack axes.
 """
 
 from __future__ import annotations
@@ -15,10 +20,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 
-# Jacobi eigensolver stopping rule for 4x4 Hermitian matrices.
-_JACOBI_OFF_NORM_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
-
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,27 +27,27 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
+    """Largest entrywise deviation of m, or of any member of a stack, from its adjoint."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Check Hermiticity, unit trace, positivity and finiteness; return as complex array."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape not in ((2, 2), (4, 4)):
+    if rho.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"{name} must be 2x2 or 4x4, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
         raise ValueError(f"{name} contains non-finite entries")
     defect = hermiticity_defect(rho)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
-    trace = rho.trace()
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    evals = eigenvalues_hermitian(rho)
-    if evals[-1] < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has negative eigenvalue {evals[-1]:.3e}")
+    trace_error = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
+    if trace_error > TRACE_TOL:
+        raise ValueError(f"{name} trace deviates from 1 by {trace_error:.3e}")
+    smallest = np.min(eigenvalues_hermitian(rho)[..., -1])
+    if smallest < EIGENVALUE_FLOOR:
+        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
     return rho
 
 
@@ -54,115 +55,58 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2x2 operators (A factor first, giving the A-major basis).
 
     Inputs need not be density matrices; projectors and other Hermitian
-    operators are accepted unchecked.
+    operators are accepted unchecked.  Stacks of factors broadcast.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
         raise ValueError(f"tensor_product expects 2x2 factors, got {a.shape} and {b.shape}")
-    out = np.empty((4, 4), dtype=complex)  # block form of np.kron, faster at this size
-    out[0:2, 0:2] = a[0, 0] * b
-    out[0:2, 2:4] = a[0, 1] * b
-    out[2:4, 0:2] = a[1, 0] * b
-    out[2:4, 2:4] = a[1, 1] * b
-    return out
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]  # [a, b, a', b']
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     """Reduce a 4x4 two-qubit operator to the kept subsystem ('A' or 'B')."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial_trace expects a 4x4 matrix, got shape {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)  # indices [a, b, a', b']
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # indices [..., a, b, a', b']
     if keep == "A":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if keep == "B":
-        return np.einsum("ijik->jk", r)
+        return np.einsum("...ijik->...jk", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _eigvals_2x2(m: np.ndarray) -> np.ndarray:
-    a = m[0, 0].real
-    d = m[1, 1].real
-    mean = 0.5 * (a + d)
-    radius = math.hypot(0.5 * (a - d), abs(m[0, 1]))
-    return np.array([mean + radius, mean - radius])
-
-
-def _eigvals_4x4_jacobi(m: np.ndarray) -> np.ndarray:
-    # Cyclic Jacobi with complex plane rotations; plain-Python scalars keep
-    # the 4x4 case fast enough for the sweep hot path.
-    a = [[complex(m[i, j]) for j in range(4)] for i in range(4)]
-    target = 0.5 * _JACOBI_OFF_NORM_TOL**2  # off-norm^2 = 2 * sum_{p<q} |a_pq|^2
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off2 = 0.0
-        for p in range(3):
-            for q in range(p + 1, 4):
-                x = a[p][q]
-                off2 += x.real * x.real + x.imag * x.imag
-        if off2 <= target:
-            return np.sort(np.array([a[i][i].real for i in range(4)]))[::-1]
-        for p in range(3):
-            for q in range(p + 1, 4):
-                apq = a[p][q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                tau = (a[q][q].real - a[p][p].real) / (2.0 * r)
-                # small-magnitude root of t^2 - 2 tau t - 1 = 0
-                if tau >= 0.0:
-                    t = -1.0 / (tau + math.sqrt(tau * tau + 1.0))
-                else:
-                    t = 1.0 / (-tau + math.sqrt(tau * tau + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                se = (t * c) * (apq / r)  # s * e^{i phi}
-                sec = se.conjugate()
-                for i in range(4):
-                    aip = a[i][p]
-                    aiq = a[i][q]
-                    a[i][p] = c * aip + sec * aiq
-                    a[i][q] = c * aiq - se * aip
-                for j in range(4):
-                    apj = a[p][j]
-                    aqj = a[q][j]
-                    a[p][j] = c * apj + se * aqj
-                    a[q][j] = c * aqj - sec * apj
-                a[p][q] = 0j
-                a[q][p] = 0j
-    raise RuntimeError("Jacobi eigensolver did not converge in 100 sweeps")
-
-
 def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 2x2 or 4x4 Hermitian matrix, sorted descending.
-
-    2x2 uses the closed quadratic formula; 4x4 uses cyclic Jacobi rotations
-    (robust near the degenerate spectra this package produces).
-    """
+    """Eigenvalues of a 2x2 or 4x4 Hermitian matrix, sorted descending (LAPACK eigvalsh)."""
     m = np.asarray(m, dtype=complex)
-    if m.shape not in ((2, 2), (4, 4)):
+    if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    if m.shape == (2, 2):
-        return _eigvals_2x2(m)
-    return _eigvals_4x4_jacobi(m)
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
-def entropy_from_eigenvalues(evals: np.ndarray) -> float:
-    """-sum p log2 p with 0 log 0 = 0; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    s = 0.0
-    for p in evals:
-        p = float(p)
-        if p < EIGENVALUE_FLOOR:
-            raise ValueError(f"eigenvalue {p:.3e} below positivity floor {EIGENVALUE_FLOOR}")
-        if p > 0.0:
-            s -= p * math.log2(p)
-    return max(s, 0.0)  # roundoff guard when an eigenvalue exceeds 1 by ~1 ulp
+def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
+    """-sum p log2 p over the last axis, with 0 log 0 = 0.
+
+    Eigenvalues in [-1e-10, 0) are clamped to 0.  The spectrum need not be
+    normalised: for a branch of probability p, p S(sigma/p) equals this
+    entropy of sigma's spectrum plus p log2 p.
+    """
+    evals = np.asarray(evals, dtype=float)
+    if np.any(evals < EIGENVALUE_FLOOR):
+        smallest = np.min(evals)
+        raise ValueError(f"eigenvalue {smallest:.3e} below positivity floor {EIGENVALUE_FLOOR}")
+    p = np.where(evals > 0.0, evals, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
+    s = -np.sum(p * np.log2(p), axis=-1)
+    return np.maximum(s, 0.0)  # roundoff guard when an eigenvalue exceeds 1 by ~1 ulp
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits of a 2x2 or 4x4 density matrix."""
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """Von Neumann entropy in bits of a 2x2 or 4x4 density matrix, or of each member of a stack."""
     return entropy_from_eigenvalues(eigenvalues_hermitian(rho))
 
 

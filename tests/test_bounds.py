@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_unitary
+from conftest import random_density_matrix, random_observable_pair, random_unitary
 from eulb.bounds import (
+    BoundsRecord,
     Observable,
     adabi_bound,
     berta_bound,
@@ -133,12 +135,19 @@ class TestMeasure:
         assert np.array_equal(result.conditional_memory_states[0], IDENTITY_2 / 2)
 
     def test_probabilities_sum_to_one_and_conditionals_valid(self, rng):
-        for _ in range(100):
-            rho = random_density_matrix(rng, 4)
+        states = np.array([random_density_matrix(rng, 4) for _ in range(100)])
+        for rho in states:
             result = measure(rho, pauli_x())
             assert abs(result.probabilities.sum() - 1.0) < 1e-10
             for cond in result.conditional_memory_states:
                 validate_density_matrix(cond)
+        batch = measure(states, pauli_x())
+        for i, rho in enumerate(states):
+            single = measure(rho, pauli_x())
+            assert np.max(np.abs(batch.probabilities[i] - single.probabilities)) <= 1e-15
+            pairs = zip(batch.conditional_memory_states, single.conditional_memory_states)
+            for cond_b, cond_s in pairs:
+                assert np.max(np.abs(cond_b[i] - cond_s)) <= 1e-15
 
 
 class TestHolevo:
@@ -160,11 +169,13 @@ class TestHolevo:
         assert abs(holevo(rho, pauli_z())) < 1e-12
 
     def test_range_on_random_states(self, rng):
-        for _ in range(200):
-            rho = random_density_matrix(rng, 4)
-            for obs in (pauli_x(), pauli_z()):
+        states = np.array([random_density_matrix(rng, 4) for _ in range(200)])
+        for obs in (pauli_x(), pauli_z()):
+            batch = holevo(states, obs)
+            for rho, from_stack in zip(states, batch):
                 value = holevo(rho, obs)
                 assert -1e-9 <= value <= 1.0 + 1e-9
+                assert abs(from_stack - value) <= 1e-12
 
 
 class TestInformationMeasures:
@@ -271,6 +282,20 @@ class TestBoundsRecord:
             assert abs(rec.holevo_r - holevo(rho, z)) < 1e-12
             assert abs(rec.mutual_info - mutual_information(rho)) < 1e-12
             assert abs(rec.cond_entropy - conditional_entropy(rho)) < 1e-12
+
+    def test_stack_equals_single_calls(self, rng):
+        for _ in range(10):
+            q, r = random_observable_pair(rng)
+            assert 0.5 - 1e-12 <= complementarity(q, r) <= 1.0 + 1e-12
+            ranks = (1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4)
+            stack = np.array([random_density_matrix(rng, 4, rank) for rank in ranks])
+            times = np.linspace(0.0, 2.0, len(stack))
+            batch = bounds_record(stack, q, r, t=times, amplitude=-times)
+            for i, rho in enumerate(stack):
+                single = bounds_record(rho, q, r, t=times[i], amplitude=-times[i])
+                for name in (f.name for f in dataclasses.fields(BoundsRecord)):
+                    assert getattr(batch, name).shape == (len(stack),)
+                    assert abs(getattr(batch, name)[i] - getattr(single, name)) <= 1e-12, name
 
 
 class TestClosedForms:

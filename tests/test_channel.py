@@ -117,6 +117,18 @@ class TestApplyMemoryDecay:
         expected[0, 3] = expected[3, 0] = 0.5 * c
         assert np.max(np.abs(out - expected)) < 1e-15
 
+    def test_amplitude_array_equals_per_amplitude(self, rng):
+        rho = random_density_matrix(rng, 4)
+        stack = np.array([random_density_matrix(rng, 4) for _ in range(41)])
+        cs = np.linspace(-1.0, 1.0, 41)
+        for excited in (0, 1):
+            out = apply_memory_decay(rho, cs, excited=excited)
+            paired = apply_memory_decay(stack, cs, excited=excited)
+            assert out.shape == paired.shape == (41, 4, 4)
+            for i, c in enumerate(cs):
+                assert np.array_equal(out[i], apply_memory_decay(rho, c, excited=excited))
+                assert np.array_equal(paired[i], apply_memory_decay(stack[i], c, excited=excited))
+
     def test_amplitude_clamped_near_one(self, rng):
         rho = random_density_matrix(rng, 4)
         out = apply_memory_decay(rho, 1.0 + 5e-10)
@@ -128,6 +140,10 @@ class TestApplyMemoryDecay:
             apply_memory_decay(rho, 1.01)
         with pytest.raises(ValueError, match="excited"):
             apply_memory_decay(rho, 0.5, excited=2)
+        with pytest.raises(ValueError, match="excited"):
+            apply_memory_decay(rho, 0.5, excited=True)
+        with pytest.raises(ValueError, match="positivity"):
+            apply_memory_decay(rho, np.array([0.5, -1.01]))
         with pytest.raises(ValueError, match="4x4"):
             apply_memory_decay(np.eye(2) / 2, 0.5)
 

@@ -67,12 +67,16 @@ class TestPartialTrace:
         assert np.max(np.abs(partial_trace(rho, "A") - np.diag([0.5, 0.5]))) < 1e-15
 
     def test_undoes_tensor_product(self, rng):
-        for _ in range(50):
-            a = random_density_matrix(rng, 2)
-            b = random_density_matrix(rng, 2)
+        pairs = [(random_density_matrix(rng, 2), random_density_matrix(rng, 2)) for _ in range(50)]
+        for a, b in pairs:
             prod = tensor_product(a, b)
             assert np.max(np.abs(partial_trace(prod, "A") - a)) < 1e-12
             assert np.max(np.abs(partial_trace(prod, "B") - b)) < 1e-12
+        a, b = (np.array(side) for side in zip(*pairs))
+        prod = tensor_product(a, b)
+        assert prod.shape == (50, 4, 4)
+        assert np.max(np.abs(partial_trace(prod, "A") - a)) < 1e-12
+        assert np.max(np.abs(partial_trace(prod, "B") - b)) < 1e-12
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError, match="4x4"):
@@ -116,6 +120,10 @@ class TestEigenvalues:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues_hermitian(m)
+        stack = np.array([np.eye(4) / 4] * 5, dtype=complex)
+        stack[3, 0, 2] = 1e-6  # one non-Hermitian member
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigenvalues_hermitian(stack)
 
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError, match="2x2 or 4x4"):
@@ -135,12 +143,14 @@ class TestEntropy:
         assert von_neumann_entropy(np.diag([0.5, 0.25, 0.25, 0.0])) == 1.5
 
     def test_random_states_spectrum_and_range(self, rng):
-        for _ in range(1000):
-            rho = random_density_matrix(rng, 4)
+        states = np.array([random_density_matrix(rng, 4) for _ in range(1000)])
+        from_stack = von_neumann_entropy(states)
+        for rho, s_stack in zip(states, from_stack):
             evals = eigenvalues_hermitian(rho)
             assert abs(evals.sum() - 1.0) < 1e-9
             s = von_neumann_entropy(rho)
             assert 0.0 <= s <= 2.0 + 1e-12
+            assert abs(s_stack - s) <= 1e-12
 
     def test_unitary_invariance(self, rng):
         for _ in range(100):
@@ -183,6 +193,7 @@ class TestBinaryEntropy:
 class TestValidateDensityMatrix:
     def test_accepts_valid(self, rng):
         validate_density_matrix(random_density_matrix(rng, 4))
+        validate_density_matrix(np.array([random_density_matrix(rng, 4) for _ in range(10)]))
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4

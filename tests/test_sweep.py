@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
@@ -18,6 +19,7 @@ from eulb.sweep import (
     parse_config,
     render_csv,
     run_sweep,
+    validate_config,
 )
 
 SMALL = SweepConfig(
@@ -97,6 +99,37 @@ class TestConfigDocument:
             parse_config("state = max_entangled\nlambda_over_gamma0 = 1\nn_qubits_list = 2, 2\n")
         with pytest.raises(ConfigError, match="excited_label"):
             parse_config("state = max_entangled\nlambda_over_gamma0 = 1\nexcited_label = 2\n")
+
+
+class TestConfigLimits:
+    BASE = SweepConfig(state="max_entangled", lambda_over_gamma0=1.0)
+
+    def test_bool_steps_rejected(self):
+        with pytest.raises(ConfigError, match="steps"):
+            validate_config(dataclasses.replace(self.BASE, steps=True))
+
+    def test_bool_excited_label_rejected(self):
+        with pytest.raises(ConfigError, match="excited_label"):
+            validate_config(dataclasses.replace(self.BASE, excited_label=True))
+        with pytest.raises(ConfigError, match="excited_label"):
+            validate_config(dataclasses.replace(self.BASE, excited_label=np.True_))
+
+    def test_bool_qubit_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_qubits_list"):
+            validate_config(dataclasses.replace(self.BASE, n_qubits_list=(True, 2)))
+
+    def test_sweep_above_row_limit_rejected(self):
+        # validated only: a sweep at this size would hold ~1 GB
+        limit = sweep_mod._MAX_SWEEP_ROWS
+        at_limit = dataclasses.replace(self.BASE, n_qubits_list=(1, 2), steps=limit // 2)
+        assert validate_config(at_limit) is at_limit
+        with pytest.raises(ConfigError, match="steps x len"):
+            validate_config(dataclasses.replace(at_limit, steps=limit // 2 + 1))
+        with pytest.raises(ConfigError, match="steps x len"):
+            parse_config(
+                f"state = max_entangled\nlambda_over_gamma0 = 1\nsteps = {limit + 1}\n"
+                "n_qubits_list = 1\n"
+            )
 
 
 class TestFigurePresets:
