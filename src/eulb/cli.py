@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             report = oracle_report(
                 config,
                 include_discrete=args.discrete_modes is not None,
-                n_modes=args.discrete_modes or 2000,
+                n_modes=2000 if args.discrete_modes is None else args.discrete_modes,
                 window_over_lambda=args.window,
             )
             print(report.render())

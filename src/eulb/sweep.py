@@ -35,7 +35,6 @@ DISCRETE_ORACLE_TOL = 5e-3
 CONSISTENCY_TOL = 1e-9
 
 _STATES = ("max_entangled", "bell_diagonal")
-_BOOLS = (bool, np.bool_)  # they pass == 0 / == 1 checks but are no counts or labels
 
 # A sweep holds all its rows at once and evaluates each N as one time stack.
 # Measured tracemalloc peak of run_sweep + render_csv: ~0.95 kB per row for
@@ -72,6 +71,12 @@ class SweepConfig:
     excited_label: int = 0
 
 
+def _is_int(value) -> bool:
+    # floats such as 2.0 pass == checks but break np.linspace and the CSV; bool
+    # subclasses int but is no count or label (np.bool_ is no np.integer)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def validate_config(config: SweepConfig) -> SweepConfig:
     if config.state not in _STATES:
         raise ConfigError(f"state must be one of {_STATES}, got {config.state!r}")
@@ -81,20 +86,20 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     if not (isinstance(config.p, (int, float)) and 0.0 <= config.p <= 1.0):
         raise ConfigError(f"p must be in [0, 1], got {config.p!r}")
     ns = config.n_qubits_list
-    if not ns or any(isinstance(n, _BOOLS) or int(n) != n or n < 1 for n in ns):
+    if not ns or any(not _is_int(n) or n < 1 for n in ns):
         raise ConfigError(f"n_qubits_list must be integers >= 1, got {ns!r}")
     if len(set(ns)) != len(ns):
         raise ConfigError(f"n_qubits_list must not contain duplicates, got {ns!r}")
     if not (math.isfinite(config.t_max_gamma0) and config.t_max_gamma0 > 0):
         raise ConfigError(f"t_max_gamma0 must be positive and finite, got {config.t_max_gamma0!r}")
-    if isinstance(config.steps, _BOOLS) or int(config.steps) != config.steps or config.steps < 2:
+    if not _is_int(config.steps) or config.steps < 2:
         raise ConfigError(f"steps must be an integer >= 2, got {config.steps!r}")
     if config.steps * len(ns) > _MAX_SWEEP_ROWS:
         raise ConfigError(
             f"steps x len(n_qubits_list) = {config.steps * len(ns)} exceeds the limit of "
             f"{_MAX_SWEEP_ROWS} rows per sweep"
         )
-    if isinstance(config.excited_label, _BOOLS) or config.excited_label not in (0, 1):
+    if not _is_int(config.excited_label) or config.excited_label not in (0, 1):
         raise ConfigError(f"excited_label must be 0 or 1, got {config.excited_label!r}")
     return config
 
@@ -287,6 +292,7 @@ class OracleReport:
     kernel: list[OracleDeviation]
     discrete: list[OracleDeviation] = field(default_factory=list)
     discrete_max_norm_error: float | None = None
+    discrete_window_warning: bool = False  # discretized window narrower than 10 lambda
 
     @property
     def passed(self) -> bool:
@@ -310,6 +316,11 @@ class OracleReport:
                 )
         if self.discrete_max_norm_error is not None:
             lines.append(f"  discrete-mode max |norm - 1| = {self.discrete_max_norm_error:.3e}")
+        if self.discrete_window_warning:
+            lines.append(
+                "  warning: discrete-mode window is narrower than 10 lambda; "
+                "the deviation includes the truncated reservoir"
+            )
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -327,6 +338,7 @@ def oracle_report(
     kernel_rows = []
     discrete_rows = []
     max_norm_err: float | None = None
+    window_warning = False
     for n in sorted(config.n_qubits_list):
         params = ReservoirParams(gamma0=1.0, lambda_=config.lambda_over_gamma0, n_qubits=n)
         closed = decay_amplitude(params, times)
@@ -350,11 +362,13 @@ def oracle_report(
             )
             err = traj.max_norm_error or 0.0
             max_norm_err = err if max_norm_err is None else max(max_norm_err, err)
+            window_warning = window_warning or traj.window_warning
     return OracleReport(
         config=config,
         kernel=kernel_rows,
         discrete=discrete_rows,
         discrete_max_norm_error=max_norm_err,
+        discrete_window_warning=window_warning,
     )
 
 

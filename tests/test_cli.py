@@ -90,3 +90,30 @@ def test_bad_preset_exits_1(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "sweep" in capsys.readouterr().out
+
+
+TINY_CONFIG = (
+    "state = max_entangled\nlambda_over_gamma0 = 1.0\n"
+    "n_qubits_list = 1\nt_max_gamma0 = 1\nsteps = 11\n"
+)
+
+
+@pytest.mark.parametrize("modes", ["0", "-3", "1000001"])
+def test_oracle_bad_discrete_modes_exits_1(tmp_path, capsys, modes):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG)
+    # 1000001 modes is rejected before the mode grid is allocated
+    assert main(["oracle", "--config", str(path), "--discrete-modes", modes]) == 1
+    captured = capsys.readouterr()
+    assert "n_modes" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_oracle_narrow_window_warns(tmp_path, capsys):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG)
+    code = main(["oracle", "--config", str(path), "--discrete-modes", "300", "--window", "5"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0 and lines[-1] == "result: PASS"
+    assert lines[-2].lstrip().startswith("warning: discrete-mode window")
+    assert not any(line.endswith("FAIL") for line in lines)

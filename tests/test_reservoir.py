@@ -192,6 +192,14 @@ class TestModeGrid:
         with pytest.raises(ValueError, match="window"):
             build_mode_grid(params, 10, -1.0)
 
+    def test_mode_count_bounded_before_allocation(self):
+        params = ReservoirParams(1.0, 1.0, 1)
+        # far beyond memory: the check must run before any array is built
+        for bad in (10**12, 1_000_001, True, 2.0):
+            with pytest.raises(ValueError, match="n_modes"):
+                build_mode_grid(params, bad, 10.0)
+        assert build_mode_grid(params, np.int64(3), 10.0).n_modes == 3
+
 
 class TestDiscreteModeOracle:
     def test_matches_closed_form_moderate_setup(self):
@@ -210,3 +218,48 @@ class TestDiscreteModeOracle:
         grid = build_mode_grid(params, 50, 5.0)
         traj = discrete_mode_oracle(params, np.array([0.0, 0.1]), grid)
         assert traj.window_warning
+
+
+def _exact_amplitudes(params, t, mode_grid):
+    """C_1(t) by dense eigendecomposition of the discretized Hamiltonian."""
+    n, g, f = params.n_qubits, mode_grid.couplings, mode_grid.frequencies
+    size = n + mode_grid.n_modes
+    h = np.zeros((size, size))
+    h[:n, n:] = g
+    h[n:, :n] = g[:, None]
+    h[n:, n:] = np.diag(f)
+    energies, vectors = np.linalg.eigh(h)
+    # y(t) = V exp(-iEt) V^T e_0, first component
+    weights = vectors[0] * vectors[0]
+    return (np.exp(-1j * np.outer(t, energies)) @ weights).real
+
+
+class TestDiscreteModeExactPropagation:
+    @pytest.mark.parametrize(
+        ("lam", "n", "modes"),
+        [(1.0, 2, 400), (40.0, 1, 400), (0.1, 5, 300), (2.0, 3, 200), (40.0, 4, 300)],
+    )
+    def test_matches_dense_eigh(self, lam, n, modes):
+        params = ReservoirParams(1.0, lam, n)
+        grid = build_mode_grid(params, modes, 20.0 * lam)
+        t = np.linspace(0.0, 3.0, 31)
+        traj = discrete_mode_oracle(params, t, grid)
+        assert np.max(np.abs(traj.amplitudes - _exact_amplitudes(params, t, grid))) <= 1e-12
+        assert traj.max_norm_error <= 1e-12
+
+    def test_large_max_step_does_not_change_trajectory(self):
+        params = ReservoirParams(1.0, 2.0, 3)
+        grid = build_mode_grid(params, 200, 40.0)
+        t = np.linspace(0.0, 2.0, 5)
+        default = discrete_mode_oracle(params, t, grid)
+        capped = discrete_mode_oracle(params, t, grid, max_step=1e3)
+        assert np.array_equal(default.amplitudes, capped.amplitudes)
+        finer = discrete_mode_oracle(params, t, grid, max_step=1e-3)
+        assert np.max(np.abs(finer.amplitudes - default.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_rejects_bad_max_step(self, bad):
+        params = ReservoirParams(1.0, 1.0, 1)
+        grid = build_mode_grid(params, 20, 10.0)
+        with pytest.raises(ValueError, match="max_step"):
+            discrete_mode_oracle(params, np.array([0.0, 0.1]), grid, max_step=bad)

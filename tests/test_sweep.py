@@ -118,6 +118,26 @@ class TestConfigLimits:
         with pytest.raises(ConfigError, match="n_qubits_list"):
             validate_config(dataclasses.replace(self.BASE, n_qubits_list=(True, 2)))
 
+    def test_float_steps_rejected(self):
+        for steps in (5.0, np.float64(5.0)):
+            with pytest.raises(ConfigError, match="steps"):
+                validate_config(dataclasses.replace(self.BASE, steps=steps))
+
+    def test_float_qubit_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_qubits_list"):
+            validate_config(dataclasses.replace(self.BASE, n_qubits_list=(2.0,)))
+
+    def test_float_excited_label_rejected(self):
+        with pytest.raises(ConfigError, match="excited_label"):
+            validate_config(dataclasses.replace(self.BASE, excited_label=1.0))
+
+    def test_numpy_integers_accepted(self):
+        cfg = dataclasses.replace(
+            self.BASE, steps=np.int64(3), n_qubits_list=(np.int32(2),), excited_label=np.int8(1)
+        )
+        assert validate_config(cfg) is cfg
+        assert parse_config(format_config(cfg)) == cfg
+
     def test_sweep_above_row_limit_rejected(self):
         # validated only: a sweep at this size would hold ~1 GB
         limit = sweep_mod._MAX_SWEEP_ROWS
@@ -295,6 +315,22 @@ class TestOracleReport:
         assert report.discrete[0].max_deviation <= 5e-3
         assert report.discrete_max_norm_error is not None
         assert report.discrete_max_norm_error <= 1e-8
+
+    def test_narrow_window_reported(self):
+        cfg = SweepConfig(
+            state="max_entangled",
+            lambda_over_gamma0=1.0,
+            n_qubits_list=(1, 2),
+            t_max_gamma0=0.5,
+            steps=6,
+        )
+        wide = oracle_report(cfg, include_discrete=True, n_modes=100, window_over_lambda=15.0)
+        narrow = oracle_report(cfg, include_discrete=True, n_modes=100, window_over_lambda=5.0)
+        assert not wide.discrete_window_warning and "warning" not in wide.render()
+        assert narrow.discrete_window_warning
+        lines = narrow.render().splitlines()
+        assert "narrower than 10 lambda" in lines[-2] and not lines[-2].endswith("FAIL")
+        assert lines[-1] == "result: " + ("PASS" if narrow.passed else "FAIL")
 
     def test_tolerance_failure_detected(self, monkeypatch):
         monkeypatch.setattr(sweep_mod, "KERNEL_ORACLE_TOL", 1e-30)
