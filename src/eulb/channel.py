@@ -29,7 +29,8 @@ def apply_memory_decay(rho: np.ndarray, c, excited: int = 0) -> np.ndarray:
     which preserve the trace identically.  c = 1 is the identity map and
     c = -1 a phase flip on the excited level.  rho may be a (..., 4, 4)
     stack and c an array of amplitudes; the two broadcast, so one state and
-    a series of amplitudes give one evolved state per amplitude.
+    a series of amplitudes give one evolved state per amplitude.  Every
+    amplitude must be finite.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -37,6 +38,8 @@ def apply_memory_decay(rho: np.ndarray, c, excited: int = 0) -> np.ndarray:
     if isinstance(excited, (bool, np.bool_)) or excited not in (0, 1):
         raise ValueError(f"excited level must be 0 or 1, got {excited!r}")
     c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("channel amplitude must be finite")
     if np.any(np.abs(c) > 1.0 + _AMPLITUDE_SLACK):
         raise ValueError(f"channel amplitude |{np.max(np.abs(c))}| > 1 would break positivity")
     c = np.clip(c, -1.0, 1.0)

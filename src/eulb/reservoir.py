@@ -216,8 +216,8 @@ def kernel_ode_oracle(
     grid = _validate_grid(t_grid)
     if max_step is None:
         max_step = _DEFAULT_ODE_STEP_GAMMA0 / params.gamma0
-    if max_step <= 0:
-        raise ValueError("max_step must be positive")
+    if not (math.isfinite(max_step) and max_step > 0):
+        raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
 
     n = float(params.n_qubits)
     lam = params.lambda_

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import eulb.bounds as bounds_mod
 from conftest import random_density_matrix, random_observable_pair, random_unitary
 from eulb.bounds import (
     BoundsRecord,
@@ -297,6 +298,13 @@ class TestBoundsRecord:
                     assert getattr(batch, name).shape == (len(stack),)
                     assert abs(getattr(batch, name)[i] - getattr(single, name)) <= 1e-12, name
 
+    def test_stack_with_scalar_time_and_amplitude(self, rng):
+        stack = np.array([[random_density_matrix(rng, 4) for _ in range(2)] for _ in range(3)])
+        rec = bounds_record(stack, pauli_x(), pauli_z(), t=0.25, amplitude=0.5)
+        for name in (f.name for f in dataclasses.fields(BoundsRecord)):
+            assert getattr(rec, name).shape == (3, 2), name
+        assert np.all(rec.t == 0.25) and np.all(rec.amplitude == 0.5)
+
 
 class TestClosedForms:
     def test_terms_range(self):
@@ -354,3 +362,31 @@ class TestClosedForms:
     def test_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             closed_form_report(1.5)
+
+    def test_array_report_equals_scalar_reports(self):
+        amplitudes = np.array([-1.0, -0.6, -0.25, 0.0, 1e-9, 0.3, 0.5, 0.77, 0.99, 1.0])
+        for p in (0.0, 1.0 / 3.0, 0.5, 1.0):
+            batch = closed_form_report(amplitudes, p)
+            for i, c in enumerate(amplitudes):
+                single = closed_form_report(float(c), p)
+                assert [row.name for row in batch] == [row.name for row in single]
+                for b, s in zip(batch, single):
+                    assert b.closed_form.shape == amplitudes.shape
+                    assert b.closed_form[i] == s.closed_form, (b.name, c, p)
+                    assert b.definition[i] == s.definition, (b.name, c, p)
+                    assert b.deviation[i] == s.deviation, (b.name, c, p)
+
+    def test_scalar_report_returns_floats(self):
+        for c in (0.5, np.float64(0.5), 1):
+            for row in closed_form_report(c):
+                for value in (row.closed_form, row.definition, row.deviation):
+                    assert type(value) is float, (row.name, c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.array([0.2, np.nan, 0.4])])
+    def test_non_finite_amplitude_rejected_before_ledger(self, monkeypatch, bad):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ledger reached with a non-finite amplitude")
+
+        monkeypatch.setattr(bounds_mod, "apply_memory_decay", unreachable)
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_report(bad)

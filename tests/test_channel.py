@@ -147,6 +147,12 @@ class TestApplyMemoryDecay:
         with pytest.raises(ValueError, match="4x4"):
             apply_memory_decay(np.eye(2) / 2, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.array([0.5, np.nan])])
+    def test_rejects_non_finite_amplitude(self, rng, bad):
+        # NaN fails every comparison, so a range check alone lets it through
+        with pytest.raises(ValueError, match="finite"):
+            apply_memory_decay(random_density_matrix(rng, 4), bad)
+
 
 class TestEvolvedConstructors:
     def test_evolved_max_entangled_values(self):

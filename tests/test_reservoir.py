@@ -169,6 +169,12 @@ class TestKernelOdeOracle:
         with pytest.raises(ValueError, match="t >= 0"):
             kernel_ode_oracle(params, np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
+    def test_rejects_bad_max_step(self, bad):
+        params = ReservoirParams(1.0, 1.0, 1)
+        with pytest.raises(ValueError, match="max_step must be positive and finite"):
+            kernel_ode_oracle(params, np.array([0.0, 0.1]), max_step=bad)
+
 
 class TestModeGrid:
     def test_coupling_sum_matches_integral(self):

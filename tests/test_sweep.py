@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import eulb.sweep as sweep_mod
+from eulb.bounds import closed_form_report
+from eulb.channel import apply_memory_decay, bell_diagonal_initial, evolved_bell_diagonal_closed_form
 from eulb.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -391,3 +393,52 @@ class TestDiscrepancyReport:
     def test_unknown_audit_name(self, report):
         with pytest.raises(KeyError):
             report.audit("nope")
+
+    @pytest.mark.parametrize("bad", [0, 1, -5, True, np.bool_(True), 2.5, 5.0, 10**6 + 1, 10**12])
+    def test_grid_points_validated(self, bad):
+        with pytest.raises(ValueError, match="grid_points"):
+            discrepancy_report(0.5, bad)
+
+    def test_numpy_integer_grid_points_accepted(self):
+        assert discrepancy_report(0.5, np.int64(9)).amplitude_grid.size == 9
+
+    @pytest.mark.parametrize("p", [0.0, 1.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("grid_points", [2, 7, 8, 9, 101])
+    def test_blocks_equal_pointwise_scan(self, p, grid_points):
+        # grid sizes straddle the audit's stack size, so both a partial
+        # last stack and an exact multiple are covered
+        reference = _pointwise_discrepancy(p, grid_points)
+        report = discrepancy_report(p, grid_points)
+        assert [
+            (row.name, row.max_deviation, row.worst_c) for row in report.formulas
+        ] == [(row.name, row.max_deviation, row.worst_c) for row in reference.formulas]
+        assert report.evolved_matrix == reference.evolved_matrix
+
+
+def _pointwise_discrepancy(p: float, grid_points: int) -> sweep_mod.DiscrepancyReport:
+    """The audit as a scan of one scalar closed_form_report per amplitude."""
+    grid = np.linspace(0.0, 1.0, grid_points)
+    worst = {}
+    matrix_worst = (0.0, 0.0, (0, 0))
+    initial = bell_diagonal_initial(p)
+    for c in grid:
+        for row in closed_form_report(c, p):
+            dev, _ = worst.get(row.name, (-1.0, 0.0))
+            if row.deviation > dev:
+                worst[row.name] = (row.deviation, float(c))
+        gap = np.abs(evolved_bell_diagonal_closed_form(p, c) - apply_memory_decay(initial, c))
+        idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        if gap[idx] > matrix_worst[0]:
+            matrix_worst = (float(gap[idx]), float(c), (int(idx[0]), int(idx[1])))
+    gap_full = np.abs(evolved_bell_diagonal_closed_form(p, 1.0) - apply_memory_decay(initial, 1.0))
+    return sweep_mod.DiscrepancyReport(
+        p=p,
+        amplitude_grid=grid,
+        formulas=[sweep_mod.FormulaAudit(name, dev, c) for name, (dev, c) in worst.items()],
+        evolved_matrix=sweep_mod.MatrixAudit(
+            max_deviation=matrix_worst[0],
+            worst_c=matrix_worst[1],
+            worst_entry=matrix_worst[2],
+            deviation_at_full_amplitude=float(np.max(gap_full)),
+        ),
+    )
