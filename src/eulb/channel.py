@@ -101,8 +101,8 @@ def evolved_max_entangled(c: float) -> np.ndarray:
     an explicit constructor so the channel can be cross-checked against it.
     """
     c = float(c)
-    if abs(c) > 1.0 + _AMPLITUDE_SLACK:
-        raise ValueError(f"amplitude |{c}| > 1 out of range")
+    if not abs(c) <= 1.0 + _AMPLITUDE_SLACK:  # written so that NaN fails too
+        raise ValueError(f"amplitude {c} out of range [-1, 1]")
     c = min(max(c, -1.0), 1.0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5 * c * c
@@ -125,8 +125,8 @@ def evolved_bell_diagonal_closed_form(p: float, c: float) -> np.ndarray:
     c = float(c)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if abs(c) > 1.0:
-        raise ValueError(f"amplitude |{c}| > 1 out of range")
+    if not abs(c) <= 1.0:
+        raise ValueError(f"amplitude {c} out of range [-1, 1]")
     c2 = c * c
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.25 * (1.0 + p) * c2

@@ -11,9 +11,10 @@ closed form
     D = sqrt(lambda^2 - 2 N gamma0 lambda),
 
 which saturates at (N - 1)/N.  Two independent numerical routes validate it:
-an exact local ODE reformulation of the memory-kernel dynamics (RK4), and a
-brute-force simulation with explicitly discretized reservoir modes
-(Taylor-series propagator of exp(-iHh)).
+an exact local ODE reformulation of the memory-kernel dynamics, and a
+brute-force simulation with explicitly discretized reservoir modes.  Both
+propagate their linear system y' = A y with one truncated Taylor series of
+exp(A h), in steps of h <= 2 / ||A||.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ AMPLITUDE_CEILING = 1.0 + 1e-9
 # where the (lambda/D) sinh(Dt/2) term is 0/0.
 _CRITICAL_EPS = 1e-8
 
-_DEFAULT_ODE_STEP_GAMMA0 = 1e-3  # RK4 step <= 1e-3 / gamma0
-
-# Discretized-mode propagator: a truncated Taylor series of exp(-iHh) per step
-# of h <= _TAYLOR_THETA / ||H|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-# (2011)).  At ||H|| h <= 2 no term exceeds 2 in norm, so summing the series
+# Oracle propagator: a truncated Taylor series of exp(A h) per step of
+# h <= _TAYLOR_THETA / ||A|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+# (2011)).  At ||A|| h <= 2 no term exceeds 2 in norm, so summing the series
 # loses no digits to cancellation; it reaches 1e-16 within 24 terms, so the
 # cap only trips on non-finite amplitudes.
 _TAYLOR_THETA = 2.0
@@ -44,6 +43,13 @@ _TAYLOR_MAX_TERMS = 40
 # One amplitude vector of 10^6 modes is 16 MB of complex128; the propagator
 # holds a few of them.
 _MAX_MODES = 1_000_000
+
+
+def _is_int(value) -> bool:
+    # floats such as 2.0 pass == checks but break array sizes, np.linspace and
+    # the CSV; bool subclasses int but is no count or label (np.bool_ is no
+    # np.integer)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class ReservoirParams:
             raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
         if not (math.isfinite(self.lambda_) and self.lambda_ > 0):
             raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_}")
-        if int(self.n_qubits) != self.n_qubits or self.n_qubits < 1:
+        if not _is_int(self.n_qubits) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be an integer >= 1, got {self.n_qubits}")
 
     @property
@@ -198,6 +204,32 @@ def _validate_grid(t_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _taylor_increment(apply, y: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Add sum_{k >= 1} h^k A^k y / k! = (exp(A h) - I) y into out; apply(v) = A v.
+
+    Terms are summed until ||term||^2 <= (1e-16)^2 ||y||^2.  out may be y
+    itself: y is read only before the first addition.
+    """
+    tol_sq = _TAYLOR_TOL**2 * np.vdot(y, y).real
+    term = y
+    for k in range(1, _TAYLOR_MAX_TERMS + 1):
+        term = apply(term) * (h / k)
+        out += term
+        if np.vdot(term, term).real <= tol_sq:
+            return
+    raise RuntimeError(f"Taylor series of exp(Ah) did not converge in {_TAYLOR_MAX_TERMS} terms")
+
+
+def _step_cap(norm_bound: float, max_step: float | None) -> float:
+    """Largest Taylor step 2 / ||A||, capped further by a valid max_step."""
+    h_max = _TAYLOR_THETA / norm_bound
+    if max_step is not None:
+        if not (math.isfinite(max_step) and max_step > 0):
+            raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
+        h_max = min(h_max, max_step)
+    return h_max
+
+
 def kernel_ode_oracle(
     params: ReservoirParams, t_grid, max_step: float | None = None
 ) -> AmplitudeTrajectory:
@@ -211,48 +243,37 @@ def kernel_ode_oracle(
 
     where s is the sum of the qubit amplitudes.  Amplitude differences are
     conserved, so the initially excited qubit has C(t) = (N - 1 + s(t)) / N.
-    Classical fixed-step RK4; default step 1e-3 / gamma0.
+    Each grid interval is cut into equal steps h <= 2 / ||A||, with the
+    infinity norm ||A|| = max(N, gamma0 lambda / 2 + lambda); max_step, if
+    given, only caps h further.  Per distinct h the Taylor series gives
+    Q = exp(A h) - I once, and each step adds Q (s, z) to (s, z), which keeps
+    the digits that forming I + Q would round away.
     """
     grid = _validate_grid(t_grid)
-    if max_step is None:
-        max_step = _DEFAULT_ODE_STEP_GAMMA0 / params.gamma0
-    if not (math.isfinite(max_step) and max_step > 0):
-        raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
-
     n = float(params.n_qubits)
     lam = params.lambda_
     k = 0.5 * params.gamma0 * lam
+    h_max = _step_cap(max(n, k + lam), max_step)
+    a = np.array([[0.0, -n], [k, -lam]])
 
+    increments: dict[float, np.ndarray] = {}
     s, z = 1.0, 0.0
     t_prev = 0.0
-    amps = np.empty(grid.size)
-    for idx, t_next in enumerate(grid):
+    sums = np.empty(grid.size)
+    for idx, t_next in enumerate(map(float, grid)):
         span = t_next - t_prev
         if span > 0.0:
-            substeps = max(1, math.ceil(span / max_step))
+            substeps = max(1, math.ceil(span / h_max))
             h = span / substeps
-            h2 = 0.5 * h
-            h6 = h / 6.0
+            if h not in increments:
+                increments[h] = np.zeros((2, 2))
+                _taylor_increment(a.dot, np.eye(2), h, increments[h])
+            q_ss, q_sz, q_zs, q_zz = increments[h].ravel().tolist()
             for _ in range(substeps):
-                ks1 = -n * z
-                kz1 = k * s - lam * z
-                s1 = s + h2 * ks1
-                z1 = z + h2 * kz1
-                ks2 = -n * z1
-                kz2 = k * s1 - lam * z1
-                s2 = s + h2 * ks2
-                z2 = z + h2 * kz2
-                ks3 = -n * z2
-                kz3 = k * s2 - lam * z2
-                s3 = s + h * ks3
-                z3 = z + h * kz3
-                ks4 = -n * z3
-                kz4 = k * s3 - lam * z3
-                s += h6 * (ks1 + 2.0 * ks2 + 2.0 * ks3 + ks4)
-                z += h6 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
+                s, z = s + (q_ss * s + q_sz * z), z + (q_zs * s + q_zz * z)
             t_prev = t_next
-        amps[idx] = ((n - 1.0) + s) / n
-    return AmplitudeTrajectory(times=params.gamma0 * grid, amplitudes=amps)
+        sums[idx] = s
+    return AmplitudeTrajectory(times=params.gamma0 * grid, amplitudes=((n - 1.0) + sums) / n)
 
 
 def build_mode_grid(params: ReservoirParams, n_modes: int, window: float) -> ModeGrid:
@@ -260,11 +281,7 @@ def build_mode_grid(params: ReservoirParams, n_modes: int, window: float) -> Mod
 
     n_modes is an integer in [1, 10^6]; checked before anything is allocated.
     """
-    if (
-        isinstance(n_modes, bool)
-        or not isinstance(n_modes, (int, np.integer))
-        or not 1 <= n_modes <= _MAX_MODES
-    ):
+    if not _is_int(n_modes) or not 1 <= n_modes <= _MAX_MODES:
         raise ValueError(f"n_modes must be an integer in [1, {_MAX_MODES}], got {n_modes!r}")
     if not (math.isfinite(window) and window > 0):
         raise ValueError("window must be positive and finite")
@@ -290,18 +307,17 @@ def discrete_mode_oracle(
     h <= 2 / ||H|| with the arrow-matrix bound ||H|| <= max|f| + sqrt(N) ||g||;
     max_step, if given, caps h further.  Converges to the closed form as
     n_modes and window grow; a window narrower than 10 * lambda sets a
-    warning flag on the trajectory.
+    warning flag on the trajectory.  N is at most 10^6, checked before the
+    amplitude vector is allocated.
     """
     grid = _validate_grid(t_grid)
     n = params.n_qubits
+    if n > _MAX_MODES:
+        raise ValueError(f"n_qubits must be at most {_MAX_MODES} for the discrete-mode oracle, got {n}")
     freqs = mode_grid.frequencies
     g = mode_grid.couplings
     norm_bound = float(np.max(np.abs(freqs))) + math.sqrt(n) * float(np.linalg.norm(g))
-    h_max = _TAYLOR_THETA / norm_bound
-    if max_step is not None:
-        if not (math.isfinite(max_step) and max_step > 0):
-            raise ValueError(f"max_step must be positive and finite, got {max_step!r}")
-        h_max = min(h_max, max_step)
+    h_max = _step_cap(norm_bound, max_step)
 
     minus_i_g = -1j * g
     minus_i_f = -1j * freqs
@@ -325,19 +341,7 @@ def discrete_mode_oracle(
             substeps = max(1, math.ceil(span / h_max))
             h = span / substeps
             for _ in range(substeps):
-                # squared norms; ||y|| is that of the step's start, which the
-                # exact propagator conserves
-                tol_sq = _TAYLOR_TOL**2 * np.vdot(y, y).real
-                term = y
-                for k in range(1, _TAYLOR_MAX_TERMS + 1):
-                    term = rhs(term) * (h / k)
-                    y += term
-                    if np.vdot(term, term).real <= tol_sq:
-                        break
-                else:
-                    raise RuntimeError(
-                        f"Taylor series of exp(-iHh) did not converge in {_TAYLOR_MAX_TERMS} terms"
-                    )
+                _taylor_increment(rhs, y, h, y)
             t_prev = t_next
         amps[idx] = y[0].real
         max_norm_error = max(max_norm_error, abs(float(np.vdot(y, y).real) - 1.0))

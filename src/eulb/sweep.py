@@ -24,6 +24,7 @@ from .channel import (
 )
 from .reservoir import (
     ReservoirParams,
+    _is_int,
     build_mode_grid,
     decay_amplitude,
     discrete_mode_oracle,
@@ -78,12 +79,6 @@ class SweepConfig:
     t_max_gamma0: float = 20.0
     steps: int = 2001
     excited_label: int = 0
-
-
-def _is_int(value) -> bool:
-    # floats such as 2.0 pass == checks but break np.linspace and the CSV; bool
-    # subclasses int but is no count or label (np.bool_ is no np.integer)
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def validate_config(config: SweepConfig) -> SweepConfig:

@@ -167,6 +167,15 @@ class TestEvolvedConstructors:
         for c in np.linspace(-1, 1, 21):
             assert abs(evolved_max_entangled(c).trace().real - 1.0) < 1e-15
 
+    def test_evolved_max_entangled_rejects_nan(self):
+        # NaN fails every comparison, so a range check alone lets it through
+        with pytest.raises(ValueError, match="out of range"):
+            evolved_max_entangled(float("nan"))
+
+    def test_bell_closed_form_rejects_nan(self):
+        with pytest.raises(ValueError, match="out of range"):
+            evolved_bell_diagonal_closed_form(0.5, float("nan"))
+
     def test_bell_closed_form_trace_one(self):
         for p in np.linspace(0, 1, 6):
             for c in np.linspace(-1, 1, 9):

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import csv
+from collections import defaultdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,9 @@ C_AT_01 = 0.9627172615168508
 # trigonometric branch, found to 40 digits independently).
 FIRST_ZERO = 8.242034311692072
 
+# C(t) to 40 digits at gamma0 = 1; written by tests/golden/capture_amplitude.py
+AMPLITUDE_REFERENCE = Path(__file__).with_name("golden") / "amplitude_mpmath.csv"
+
 
 class TestParams:
     def test_validation(self):
@@ -31,6 +38,15 @@ class TestParams:
             ReservoirParams(1.0, -2.0, 1)
         with pytest.raises(ValueError, match="n_qubits"):
             ReservoirParams(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("bad", [2.0, True, np.bool_(True)])
+    def test_rejects_non_integer_qubit_count(self, bad):
+        # 2.0 used to pass and then fail inside np.zeros in the discrete oracle
+        with pytest.raises(ValueError, match="n_qubits"):
+            ReservoirParams(1.0, 1.0, bad)
+
+    def test_accepts_numpy_integer_qubit_count(self):
+        assert ReservoirParams(1.0, 1.0, np.int64(3)).n_qubits == 3
 
     def test_timescales(self):
         p = ReservoirParams(2.0, 8.0, 3)
@@ -176,6 +192,49 @@ class TestKernelOdeOracle:
             kernel_ode_oracle(params, np.array([0.0, 0.1]), max_step=bad)
 
 
+def _mpmath_reference() -> dict[tuple[float, int], list[tuple[float, float]]]:
+    rows = defaultdict(list)
+    with AMPLITUDE_REFERENCE.open(encoding="ascii") as fh:
+        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+            key = (float(row["lambda"]), int(row["n_qubits"]))
+            rows[key].append((float(row["t"]), float(row["amplitude"])))
+    return rows
+
+
+class TestKernelOdeTaylorPropagation:
+    def test_matches_mpmath_reference(self):
+        # presets, the critical coupling and lambda = 2N (1 +- 10^-k), k = 3..15,
+        # on the oracle command's 2001-point grid
+        reference = _mpmath_reference()
+        assert len(reference) == 8 + 4 + 13 * 2 * 4
+        grid = np.linspace(0.0, 20.0, 2001)
+        index = {t: i for i, t in enumerate(grid.tolist())}
+        worst = 0.0
+        for (lam, n), rows in reference.items():
+            assert len(rows) == 41
+            amps = kernel_ode_oracle(ReservoirParams(1.0, lam, n), grid).amplitudes
+            got = amps[[index[t] for t, _ in rows]]
+            worst = max(worst, float(np.max(np.abs(got - [c for _, c in rows]))))
+        assert worst <= 1e-14
+
+    def test_large_max_step_does_not_change_trajectory(self):
+        params = ReservoirParams(1.0, 2.0, 3)
+        t = np.linspace(0.0, 2.0, 5)
+        default = kernel_ode_oracle(params, t)
+        capped = kernel_ode_oracle(params, t, max_step=1e3)
+        assert np.array_equal(default.amplitudes, capped.amplitudes)
+        finer = kernel_ode_oracle(params, t, max_step=1e-3)
+        assert np.max(np.abs(finer.amplitudes - default.amplitudes)) <= 1e-13
+
+    @pytest.mark.parametrize(("lam", "n"), [(40.0, 1), (40.0, 10), (0.1, 10), (2.0, 5)])
+    def test_coarse_grid_is_substepped(self, lam, n):
+        # every interval is longer than 2 / ||A||, so each is cut into steps
+        params = ReservoirParams(1.0, lam, n)
+        t = np.array([0.0, 3.0, 7.5, 20.0])
+        traj = kernel_ode_oracle(params, t)
+        assert np.max(np.abs(traj.amplitudes - decay_amplitude(params, t))) <= 1e-13
+
+
 class TestModeGrid:
     def test_coupling_sum_matches_integral(self):
         params = ReservoirParams(1.0, 40.0, 1)
@@ -218,6 +277,13 @@ class TestDiscreteModeOracle:
         assert np.max(np.abs(traj.amplitudes - closed)) <= 5e-3
         assert traj.max_norm_error is not None and traj.max_norm_error <= 1e-8
         assert not traj.window_warning
+
+    def test_qubit_count_bounded_before_allocation(self):
+        # N + n_modes amplitudes: 10^12 qubits must be refused, not allocated
+        params = ReservoirParams(1.0, 1.0, 10**12)
+        grid = build_mode_grid(params, 20, 10.0)
+        with pytest.raises(ValueError, match="n_qubits"):
+            discrete_mode_oracle(params, np.array([0.0, 0.1]), grid)
 
     def test_narrow_window_sets_warning(self):
         params = ReservoirParams(1.0, 1.0, 1)
