@@ -13,6 +13,13 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+from .audit import (
+    DiscrepancyReport,
+    closed_form_report,
+    discrepancy_report,
+    evolved_bell_diagonal_closed_form,
+    evolved_max_entangled,
+)
 from .bounds import (
     BoundsRecord,
     MeasurementResult,
@@ -20,7 +27,6 @@ from .bounds import (
     adabi_bound,
     berta_bound,
     bounds_record,
-    closed_form_report,
     complementarity,
     conditional_entropy,
     holevo,
@@ -35,8 +41,6 @@ from .channel import (
     apply_memory_decay,
     bell_diagonal_initial,
     bell_diagonal_r_vector,
-    evolved_bell_diagonal_closed_form,
-    evolved_max_entangled,
     max_entangled_initial,
 )
 from .linalg import (
@@ -63,11 +67,9 @@ from .reservoir import (
 )
 from .sweep import (
     ConfigError,
-    DiscrepancyReport,
     OracleReport,
     SweepConfig,
     SweepOutput,
-    discrepancy_report,
     emit_csv,
     figure_preset,
     format_config,

@@ -1,0 +1,411 @@
+"""Closed-form audit: tabulated shortcut formulas against the definitions.
+
+The pipeline computes every quantity from eigendecomposition-based
+definitions.  The closed-form expressions for the two reference state
+families (evolved maximally entangled and evolved Bell-diagonal at p=1/2),
+among them the tightened bound of Adabi, Salimi & Haseli (PRA 93, 062123
+(2016)) written out for each family, are audit targets only: several of
+them are internally inconsistent, and closed_form_report quantifies the
+mismatch instead of using them.  The same holds for the two tabulated
+evolved matrices below.
+
+The closed forms are numpy array functions of the amplitude c, evaluated
+exactly as written; closed_form_report takes one amplitude or an array of
+them, and discrepancy_report evaluates them once over its whole amplitude
+grid.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .bounds import bounds_record, pauli_x, pauli_z, post_measurement_state
+from .channel import (
+    _AMPLITUDE_SLACK,
+    apply_memory_decay,
+    bell_diagonal_initial,
+    max_entangled_initial,
+)
+from .linalg import binary_entropy, von_neumann_entropy
+from .reservoir import _is_int
+
+CONSISTENCY_TOL = 1e-9
+
+# The definition route and the tabulated-matrix gap run in amplitude stacks
+# of this many points; the ledger's temporaries take ~2.5 kB per amplitude.
+# The closed forms run once over the whole grid, so audit memory grows with
+# the grid: their tracemalloc peak is ~160 bytes per point, ~160 MB at the
+# 10^6-point cap.  The tracemalloc peak of a 101-point audit is ~0.036 MB
+# at 8 points per stack, ~0.031 MB at 6 and ~0.055 MB at 16; 6 points
+# cost ~20% more time than 8 (2-vCPU VM, numpy 2.4).
+_AUDIT_BLOCK = 8
+_MAX_AUDIT_POINTS = 1_000_000
+
+
+def evolved_max_entangled(c: float) -> np.ndarray:
+    """Closed-form evolved maximally entangled state at amplitude c.
+
+    Equals apply_memory_decay(max_entangled_initial(), c) entrywise; kept as
+    an explicit constructor so the channel can be cross-checked against it.
+    """
+    c = float(c)
+    if not abs(c) <= 1.0 + _AMPLITUDE_SLACK:  # written so that NaN fails too
+        raise ValueError(f"amplitude {c} out of range [-1, 1]")
+    c = min(max(c, -1.0), 1.0)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 0.5 * c * c
+    rho[1, 1] = 0.5 * (1.0 - c * c)
+    rho[3, 3] = 0.5
+    rho[0, 3] = rho[3, 0] = 0.5 * c
+    return rho
+
+
+def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:
+    """Closed-form snapshot of the evolved Bell-diagonal state.  Known inconsistent.
+
+    This tabulated matrix does not reduce to bell_diagonal_initial(p) at
+    c = 1 (its corner coherences are doubled and its diagonal follows a
+    different basis ordering), and it is not positive semidefinite for all
+    parameters.  It exists solely as an audit target for discrepancy_report;
+    the sweep pipeline always evolves states through apply_memory_decay.
+    c is one amplitude or an array of them; the result gains c's axes.
+    """
+    p = float(p)
+    c = np.asarray(c, dtype=float)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if not np.all(np.abs(c) <= 1.0):  # written so that NaN fails too
+        raise ValueError(f"amplitude {c} out of range [-1, 1]")
+    c2 = c * c
+    rho = np.zeros(c.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = 0.25 * (1.0 + p) * c2
+    rho[..., 1, 1] = 0.25 * (1.0 - p) + 0.25 * (1.0 + p) * (1.0 - c2)
+    rho[..., 2, 2] = 0.25 * (1.0 - p) * c2
+    rho[..., 3, 3] = 0.25 * (1.0 + p) + 0.25 * (1.0 - p) * (1.0 - c2)
+    rho[..., 0, 3] = rho[..., 3, 0] = 0.5 * (1.0 - p) * np.abs(c)
+    rho[..., 1, 2] = rho[..., 2, 1] = 0.5 * (1.0 - 3.0 * p) * c
+    return rho
+
+
+# ---------------------------------------------------------------------------
+# The ten closed forms, each an array function of the amplitude c.  In them
+# eta = sqrt(1 - c^2 + c^4), alpha_pm = (2 +/- c^2)/2 and theta = eta/4.
+# ---------------------------------------------------------------------------
+
+
+def _wlog2(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # w * log2(x) with the w -> 0+ limit (0) applied for w <= 0
+    live = w > 0.0
+    return np.where(live, w * np.log2(np.where(live, x, 1.0)), 0.0)
+
+
+def _eta(c2: np.ndarray) -> np.ndarray:
+    return np.sqrt(1.0 - c2 + c2 * c2)  # in [sqrt(3)/2, 1] for |c| <= 1
+
+
+def closed_form_max_ent_entropy_x(c: np.ndarray) -> np.ndarray:
+    eta = _eta(c * c)
+    return -_wlog2(0.5 * (1.0 - eta), 0.25 * (1.0 - eta)) - _wlog2(
+        0.5 * (1.0 + eta), 0.25 * (1.0 + eta)
+    )
+
+
+def closed_form_max_ent_entropy_z(c: np.ndarray) -> np.ndarray:
+    c2 = c * c
+    return 0.5 - _wlog2(0.5 * c2, 0.5 * c2) - _wlog2(0.5 * (1.0 - c2), 0.5 * (1.0 - c2))
+
+
+def closed_form_max_ent_lhs(c: np.ndarray) -> np.ndarray:
+    """Tabulated measured-uncertainty sum for the maximally entangled family.
+
+    Subtracts the memory entropy once instead of twice, so it exceeds the
+    definition-based sum by exactly S_bin(c^2/2); retained as an audit target.
+    """
+    c2 = c * c
+    eta = _eta(c2)
+    return (
+        0.5
+        - _wlog2(0.5 * (1.0 - eta), 0.25 * (1.0 - eta))
+        - _wlog2(0.5 * (1.0 + eta), 0.25 * (1.0 + eta))
+        - _wlog2(0.5 * c2, 0.5 * c2)
+        - _wlog2(0.5 * (1.0 - c2), 0.5 * (1.0 - c2))
+        - binary_entropy(0.5 * c2)
+    )
+
+
+def closed_form_max_ent_delta(c: np.ndarray) -> np.ndarray:
+    c2 = c * c
+    eta = _eta(c2)
+    return (
+        -0.5
+        - _wlog2(0.5 * (1.0 - eta), 0.25 * (1.0 - eta))
+        - _wlog2(0.5 * (1.0 + eta), 0.25 * (1.0 + eta))
+        - _wlog2(0.5 * c2, 0.5 * c2)
+        - _wlog2(0.5 * (1.0 - c2), 0.5 * (1.0 - c2))
+        - binary_entropy(0.5 * (1.0 - c2))
+        - binary_entropy(0.5 * c2)
+    )
+
+
+def closed_form_max_ent_bound(c: np.ndarray) -> np.ndarray:
+    """Tabulated tightened bound, using the same family's closed-form delta."""
+    c2 = c * c
+    return (
+        1.0
+        + binary_entropy(0.5 * (1.0 - c2))
+        - binary_entropy(0.5 * c2)
+        + np.maximum(0.0, closed_form_max_ent_delta(c))
+    )
+
+
+def closed_form_bell_entropy_x(c: np.ndarray) -> np.ndarray:
+    c2 = c * c
+    return -_wlog2(0.5 * c2, 0.25 * c2) - _wlog2(0.5 * (2.0 - c2), 0.25 * (2.0 - c2))
+
+
+def closed_form_bell_entropy_z(c: np.ndarray) -> np.ndarray:
+    c2 = c * c
+    return (
+        -_wlog2(c2 / 8.0, c2 / 8.0)
+        - _wlog2(3.0 * c2 / 8.0, 3.0 * c2 / 8.0)
+        - _wlog2((4.0 - 3.0 * c2) / 8.0, (4.0 - 3.0 * c2) / 8.0)
+        - _wlog2((4.0 - c2) / 8.0, (4.0 - c2) / 8.0)
+    )
+
+
+def closed_form_bell_lhs(c: np.ndarray) -> np.ndarray:
+    """Tabulated measured-uncertainty sum for the Bell-diagonal (p=1/2) family.
+
+    Omits the (4 - 3c^2)/8 spectral term that its own post-measurement
+    entropy contains; retained as an audit target.
+    """
+    c2 = c * c
+    return (
+        closed_form_bell_entropy_x(c)
+        - _wlog2(c2 / 8.0, c2 / 8.0)
+        - _wlog2(3.0 * c2 / 8.0, 3.0 * c2 / 8.0)
+        - _wlog2((4.0 - c2) / 8.0, (4.0 - c2) / 8.0)
+        - 2.0 * binary_entropy(0.5 * c2)
+    )
+
+
+def _bell_alpha_theta_sum(c: np.ndarray) -> np.ndarray:
+    c2 = c * c
+    theta = 0.25 * _eta(c2)
+    lo, hi = 0.5 * (2.0 - c2), 0.5 * (2.0 + c2)
+    return (
+        _wlog2(lo - theta, lo - theta)
+        + _wlog2(lo + theta, lo + theta)
+        + _wlog2(hi - theta, hi - theta)
+        + _wlog2(hi + theta, hi + theta)
+    )
+
+
+def closed_form_bell_delta(c: np.ndarray) -> np.ndarray:
+    """Tabulated information gap for the Bell-diagonal family.
+
+    Its alpha +/- theta arguments exceed 1 at full amplitude, so they cannot
+    be eigenvalue probabilities; retained as an audit target.
+    """
+    return (
+        _bell_alpha_theta_sum(c)
+        - binary_entropy(0.5 * c * c)
+        + closed_form_bell_entropy_z(c)
+        + closed_form_bell_entropy_x(c)
+    )
+
+
+def closed_form_bell_bound(c: np.ndarray) -> np.ndarray:
+    """Tabulated tightened bound, using the same family's closed-form delta."""
+    return (
+        1.0
+        - _bell_alpha_theta_sum(c)
+        + np.maximum(0.0, closed_form_bell_delta(c))
+        - binary_entropy(0.5 * c * c)
+    )
+
+
+_CLOSED_FORMS = {
+    "max_ent_entropy_x": closed_form_max_ent_entropy_x,
+    "max_ent_entropy_z": closed_form_max_ent_entropy_z,
+    "max_ent_lhs": closed_form_max_ent_lhs,
+    "max_ent_bound": closed_form_max_ent_bound,
+    "max_ent_delta": closed_form_max_ent_delta,
+    "bell_entropy_x": closed_form_bell_entropy_x,
+    "bell_entropy_z": closed_form_bell_entropy_z,
+    "bell_lhs": closed_form_bell_lhs,
+    "bell_bound": closed_form_bell_bound,
+    "bell_delta": closed_form_bell_delta,
+}
+# Built once, so the projectors they cache are not rebuilt on every block.
+_X, _Z = pauli_x(), pauli_z()
+
+
+def _closed_forms(c: np.ndarray) -> np.ndarray:
+    """Every closed form at the amplitudes c: shape (10,) + c.shape, rows in _CLOSED_FORMS order."""
+    return np.array([fn(c) for fn in _CLOSED_FORMS.values()])
+
+
+def _definitions(c: np.ndarray, p: float) -> np.ndarray:
+    """The definition-based value of every closed form, laid out as _closed_forms.
+
+    One ledger call per family on the whole amplitude array; per family the
+    values follow the formula order entropy_x, entropy_z, lhs, bound, delta.
+    """
+    values = []
+    for initial in (max_entangled_initial(), bell_diagonal_initial(p)):
+        rho = apply_memory_decay(initial, c)
+        rec = bounds_record(rho, _X, _Z)
+        s_post_x = von_neumann_entropy(post_measurement_state(rho, _X))
+        s_post_z = von_neumann_entropy(post_measurement_state(rho, _Z))
+        values += [s_post_x, s_post_z, rec.u_left, rec.adabi, rec.delta]
+    return np.array(values)
+
+
+@dataclass(frozen=True)
+class FormulaComparison:
+    """One closed form against its definition; arrays over an amplitude array."""
+
+    name: str
+    closed_form: float
+    definition: float
+    deviation: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "deviation", abs(self.closed_form - self.definition))
+
+
+def closed_form_report(
+    amplitude_c: float | np.ndarray, p: float = 0.5
+) -> list[FormulaComparison]:
+    """Evaluate every closed form and its definition-based counterpart.
+
+    amplitude_c is one amplitude or an array of them; for an array every
+    FormulaComparison value is an array over it, and both the closed forms
+    and the definition route run once per family on the whole amplitude
+    array.  The maximally entangled rows are p-independent.  The
+    Bell-diagonal closed forms assume the p = 1/2 preparation; the
+    definition route uses the given p, so deviations for other p mix
+    formula error with preparation mismatch.  Discrepancies are data, not
+    errors.
+    """
+    c = np.asarray(amplitude_c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("amplitude must be finite")
+    if np.any(np.abs(c) > 1.0):
+        raise ValueError(f"amplitude |{np.max(np.abs(c))}| > 1 out of range")
+    rows = zip(_CLOSED_FORMS, _closed_forms(c), _definitions(c, p))
+    if c.ndim == 0:
+        return [FormulaComparison(name, float(v), float(d)) for name, v, d in rows]
+    return [FormulaComparison(name, v, d) for name, v, d in rows]
+
+
+@dataclass
+class FormulaAudit:
+    name: str
+    max_deviation: float
+    worst_c: float
+
+    @property
+    def consistent(self) -> bool:
+        return self.max_deviation <= CONSISTENCY_TOL
+
+    @property
+    def status(self) -> str:
+        return "CONSISTENT" if self.consistent else "FLAGGED"
+
+
+@dataclass
+class MatrixAudit:
+    """Entrywise gap between the tabulated evolved Bell-diagonal matrix and the channel."""
+
+    max_deviation: float
+    worst_c: float
+    worst_entry: tuple[int, int]
+    deviation_at_full_amplitude: float  # at c = 1, where both should equal the initial state
+
+
+@dataclass
+class DiscrepancyReport:
+    p: float
+    amplitude_grid: np.ndarray
+    formulas: list[FormulaAudit]
+    evolved_matrix: MatrixAudit
+
+    def audit(self, name: str) -> FormulaAudit:
+        for row in self.formulas:
+            if row.name == name:
+                return row
+        raise KeyError(name)
+
+    def render(self) -> str:
+        lines = [
+            f"closed-form audit (p = {self.p:g}, {self.amplitude_grid.size}-point amplitude grid)",
+            f"  {'formula':20s} {'max |dev|':>12s} {'at c':>6s}  status",
+        ]
+        for row in self.formulas:
+            lines.append(
+                f"  {row.name:20s} {row.max_deviation:12.3e} {row.worst_c:6.2f}  {row.status}"
+            )
+        m = self.evolved_matrix
+        status = "CONSISTENT" if m.max_deviation <= CONSISTENCY_TOL else "FLAGGED"
+        lines.append(
+            f"  {'bell_evolved_matrix':20s} {m.max_deviation:12.3e} {m.worst_c:6.2f}  {status}"
+            f"  (entry {m.worst_entry}, dev at c=1: {m.deviation_at_full_amplitude:.3e})"
+        )
+        return "\n".join(lines)
+
+
+def discrepancy_report(p: float = 0.5, grid_points: int = 101) -> DiscrepancyReport:
+    """Audit every closed form against the definition route over c in [0, 1].
+
+    Also compares the tabulated evolved Bell-diagonal matrix entrywise
+    against channel evolution of the same initial state.  Formulas whose
+    maximal deviation exceeds 1e-9 are marked FLAGGED; discrepancies are
+    reported, never raised.  grid_points is an integer in [2, 10^6].  The
+    closed forms are evaluated once over the whole grid; the definition
+    route and the matrix gap run in amplitude stacks of _AUDIT_BLOCK points.
+    """
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    if not _is_int(grid_points) or not 2 <= grid_points <= _MAX_AUDIT_POINTS:
+        raise ValueError(
+            f"grid_points must be an integer in [2, {_MAX_AUDIT_POINTS}], got {grid_points!r}"
+        )
+    grid = np.linspace(0.0, 1.0, grid_points)
+    deviation = _closed_forms(grid)  # turned into |closed form - definition| block by block
+    matrix_worst = (0.0, 0.0, (0, 0))
+    initial = bell_diagonal_initial(p)
+    # argmax takes the first maximum, and only a strictly greater matrix gap
+    # replaces an earlier block's, so every worst c is the first one on the
+    # grid, as a point-by-point scan would report it.
+    for start in range(0, grid.size, _AUDIT_BLOCK):
+        rows = slice(start, start + _AUDIT_BLOCK)
+        block = grid[rows]
+        deviation[:, rows] = np.abs(deviation[:, rows] - _definitions(block, p))
+        tabulated = evolved_bell_diagonal_closed_form(p, block)
+        gap = np.abs(tabulated - apply_memory_decay(initial, block))
+        k, a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        if gap[k, a, b] > matrix_worst[0]:
+            matrix_worst = (float(gap[k, a, b]), float(block[k]), (int(a), int(b)))
+    gap_full = np.abs(
+        evolved_bell_diagonal_closed_form(p, 1.0) - apply_memory_decay(initial, 1.0)
+    )
+    worst = np.argmax(deviation, axis=1)
+    return DiscrepancyReport(
+        p=p,
+        amplitude_grid=grid,
+        formulas=[
+            FormulaAudit(name=name, max_deviation=float(dev[i]), worst_c=float(grid[i]))
+            for name, dev, i in zip(_CLOSED_FORMS, deviation, worst)
+        ],
+        evolved_matrix=MatrixAudit(
+            max_deviation=matrix_worst[0],
+            worst_c=matrix_worst[1],
+            worst_entry=matrix_worst[2],
+            deviation_at_full_amplitude=float(np.max(gap_full)),
+        ),
+    )

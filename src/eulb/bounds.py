@@ -8,34 +8,22 @@ qubit B kept as the memory, the quantities of interest are
     Adabi bound   = Berta + max(0, delta),
     delta         = I(A;B) - I(Q;B) - I(R;B)       (Holevo information gap)
 
-Everything in the pipeline is computed from eigendecomposition-based
-definitions.  The closed-form expressions for the two reference state
-families (evolved maximally entangled and evolved Bell-diagonal at p=1/2)
-are audit targets only: several of them are internally inconsistent, and
-closed_form_report quantifies the mismatch instead of using them.
+Everything here is computed from eigendecomposition-based definitions;
+the tabulated closed forms that audit.py checks are never used.
 
 The ledger functions take one 4x4 state or a (..., 4, 4) stack, such as
 one state per time point, through the same code; for a stack their
-results carry the stack axes.  closed_form_report likewise takes one
-amplitude or an array of them and evaluates the definition route on the
-whole amplitude stack in one ledger call per family.
+results carry the stack axes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
-from .linalg import (
-    IDENTITY_2,
-    binary_entropy,
-    partial_trace,
-    tensor_product,
-    von_neumann_entropy,
-)
+from .linalg import IDENTITY_2, partial_trace, tensor_product, von_neumann_entropy
 
 ZERO_PROBABILITY_TOL = 1e-12
 
@@ -235,232 +223,3 @@ def bounds_record(
     # broadcast_to per field: broadcast_arrays of the ten values allocates
     # ~27.5 kB on every stacked call, broadcast_to ~1.8 kB (numpy 2.4)
     return BoundsRecord(*(np.broadcast_to(np.asarray(v, dtype=float), u_left.shape) for v in values))
-
-
-# ---------------------------------------------------------------------------
-# Closed-form audit targets.
-#
-# The expressions below are the tabulated shortcut formulas for the two
-# reference families, evaluated exactly as written.  The pipeline above
-# never uses them; discrepancy_report compares them against the
-# definition-based route and flags the ones that disagree.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedFormTerms:
-    """Shorthand quantities appearing in the closed forms at amplitude c."""
-
-    eta: float  # sqrt(1 - c^2 + c^4), in [sqrt(3)/2, 1] for |c| <= 1
-    alpha_plus: float  # (2 + c^2) / 2
-    alpha_minus: float  # (2 - c^2) / 2
-    theta: float  # sqrt(1 - c^2 + c^4) / 4
-
-
-def closed_form_terms(c: float) -> ClosedFormTerms:
-    c2 = c * c
-    eta = math.sqrt(1.0 - c2 + c2 * c2)
-    return ClosedFormTerms(
-        eta=eta,
-        alpha_plus=0.5 * (2.0 + c2),
-        alpha_minus=0.5 * (2.0 - c2),
-        theta=0.25 * eta,
-    )
-
-
-def _wlog2(w: float, x: float) -> float:
-    # w * log2(x) with the w -> 0+ limit (0) applied for w <= 0
-    if w <= 0.0:
-        return 0.0
-    return w * math.log2(x)
-
-
-def closed_form_max_ent_entropy_x(c: float) -> float:
-    eta = closed_form_terms(c).eta
-    return -_wlog2(0.5 * (1.0 - eta), 0.25 * (1.0 - eta)) - _wlog2(
-        0.5 * (1.0 + eta), 0.25 * (1.0 + eta)
-    )
-
-
-def closed_form_max_ent_entropy_z(c: float) -> float:
-    c2 = c * c
-    return 0.5 - _wlog2(0.5 * c2, 0.5 * c2) - _wlog2(0.5 * (1.0 - c2), 0.5 * (1.0 - c2))
-
-
-def closed_form_max_ent_lhs(c: float) -> float:
-    """Tabulated measured-uncertainty sum for the maximally entangled family.
-
-    Subtracts the memory entropy once instead of twice, so it exceeds the
-    definition-based sum by exactly S_bin(c^2/2); retained as an audit target.
-    """
-    c2 = c * c
-    eta = closed_form_terms(c).eta
-    return (
-        0.5
-        - _wlog2(0.5 * (1.0 - eta), 0.25 * (1.0 - eta))
-        - _wlog2(0.5 * (1.0 + eta), 0.25 * (1.0 + eta))
-        - _wlog2(0.5 * c2, 0.5 * c2)
-        - _wlog2(0.5 * (1.0 - c2), 0.5 * (1.0 - c2))
-        - binary_entropy(0.5 * c2)
-    )
-
-
-def closed_form_max_ent_delta(c: float) -> float:
-    c2 = c * c
-    eta = closed_form_terms(c).eta
-    return (
-        -0.5
-        - _wlog2(0.5 * (1.0 - eta), 0.25 * (1.0 - eta))
-        - _wlog2(0.5 * (1.0 + eta), 0.25 * (1.0 + eta))
-        - _wlog2(0.5 * c2, 0.5 * c2)
-        - _wlog2(0.5 * (1.0 - c2), 0.5 * (1.0 - c2))
-        - binary_entropy(0.5 * (1.0 - c2))
-        - binary_entropy(0.5 * c2)
-    )
-
-
-def closed_form_max_ent_bound(c: float) -> float:
-    """Tabulated tightened bound, using the same family's closed-form delta."""
-    c2 = c * c
-    return (
-        1.0
-        + binary_entropy(0.5 * (1.0 - c2))
-        - binary_entropy(0.5 * c2)
-        + max(0.0, closed_form_max_ent_delta(c))
-    )
-
-
-def closed_form_bell_entropy_x(c: float) -> float:
-    c2 = c * c
-    return -_wlog2(0.5 * c2, 0.25 * c2) - _wlog2(0.5 * (2.0 - c2), 0.25 * (2.0 - c2))
-
-
-def closed_form_bell_entropy_z(c: float) -> float:
-    c2 = c * c
-    return (
-        -_wlog2(c2 / 8.0, c2 / 8.0)
-        - _wlog2(3.0 * c2 / 8.0, 3.0 * c2 / 8.0)
-        - _wlog2((4.0 - 3.0 * c2) / 8.0, (4.0 - 3.0 * c2) / 8.0)
-        - _wlog2((4.0 - c2) / 8.0, (4.0 - c2) / 8.0)
-    )
-
-
-def closed_form_bell_lhs(c: float) -> float:
-    """Tabulated measured-uncertainty sum for the Bell-diagonal (p=1/2) family.
-
-    Omits the (4 - 3c^2)/8 spectral term that its own post-measurement
-    entropy contains; retained as an audit target.
-    """
-    c2 = c * c
-    return (
-        closed_form_bell_entropy_x(c)
-        - _wlog2(c2 / 8.0, c2 / 8.0)
-        - _wlog2(3.0 * c2 / 8.0, 3.0 * c2 / 8.0)
-        - _wlog2((4.0 - c2) / 8.0, (4.0 - c2) / 8.0)
-        - 2.0 * binary_entropy(0.5 * c2)
-    )
-
-
-def _bell_alpha_theta_sum(c: float) -> float:
-    terms = closed_form_terms(c)
-    total = 0.0
-    for a in (terms.alpha_minus, terms.alpha_plus):
-        for sign in (-1.0, 1.0):
-            x = a + sign * terms.theta
-            total += _wlog2(x, x)
-    return total
-
-
-def closed_form_bell_delta(c: float) -> float:
-    """Tabulated information gap for the Bell-diagonal family.
-
-    Its alpha +/- theta arguments exceed 1 at full amplitude, so they cannot
-    be eigenvalue probabilities; retained as an audit target.
-    """
-    return (
-        _bell_alpha_theta_sum(c)
-        - binary_entropy(0.5 * c * c)
-        + closed_form_bell_entropy_z(c)
-        + closed_form_bell_entropy_x(c)
-    )
-
-
-def closed_form_bell_bound(c: float) -> float:
-    """Tabulated tightened bound, using the same family's closed-form delta."""
-    return (
-        1.0
-        - _bell_alpha_theta_sum(c)
-        + max(0.0, closed_form_bell_delta(c))
-        - binary_entropy(0.5 * c * c)
-    )
-
-
-@dataclass(frozen=True)
-class FormulaComparison:
-    """One closed form against its definition; arrays over an amplitude array."""
-
-    name: str
-    closed_form: float
-    definition: float
-    deviation: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deviation", abs(self.closed_form - self.definition))
-
-
-_CLOSED_FORMS = {
-    "max_ent": (
-        closed_form_max_ent_entropy_x,
-        closed_form_max_ent_entropy_z,
-        closed_form_max_ent_lhs,
-        closed_form_max_ent_bound,
-        closed_form_max_ent_delta,
-    ),
-    "bell": (
-        closed_form_bell_entropy_x,
-        closed_form_bell_entropy_z,
-        closed_form_bell_lhs,
-        closed_form_bell_bound,
-        closed_form_bell_delta,
-    ),
-}
-
-
-def closed_form_report(
-    amplitude_c: float | np.ndarray, p: float = 0.5
-) -> list[FormulaComparison]:
-    """Evaluate every closed form and its definition-based counterpart.
-
-    amplitude_c is one amplitude or an array of them; for an array every
-    FormulaComparison value is an array over it, and the definition route
-    runs once per family on the whole amplitude stack.  The scalar closed
-    forms are evaluated once per amplitude.  The maximally entangled rows
-    are p-independent.  The Bell-diagonal closed forms assume the p = 1/2
-    preparation; the definition route uses the given p, so deviations for
-    other p mix formula error with preparation mismatch.  Discrepancies are
-    data, not errors.
-    """
-    c = np.asarray(amplitude_c, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("amplitude must be finite")
-    if np.any(np.abs(c) > 1.0):
-        raise ValueError(f"amplitude |{np.max(np.abs(c))}| > 1 out of range")
-    amplitudes = c.ravel().tolist()
-    x, z = pauli_x(), pauli_z()
-    rows: list[FormulaComparison] = []
-    for prefix, initial in (("max_ent", max_entangled_initial()), ("bell", bell_diagonal_initial(p))):
-        rho = apply_memory_decay(initial, c)
-        rec = bounds_record(rho, x, z, amplitude=c)
-        s_post_x = von_neumann_entropy(post_measurement_state(rho, x))
-        s_post_z = von_neumann_entropy(post_measurement_state(rho, z))
-        defs = (s_post_x, s_post_z, rec.u_left, rec.adabi, rec.delta)
-        for fn, name, value in zip(
-            _CLOSED_FORMS[prefix],
-            ("entropy_x", "entropy_z", "lhs", "bound", "delta"),
-            defs,
-        ):
-            closed = np.array([fn(a) for a in amplitudes]).reshape(c.shape)
-            if c.ndim == 0:
-                closed, value = float(closed), float(value)
-            rows.append(FormulaComparison(f"{prefix}_{name}", closed, value))
-    return rows

@@ -94,50 +94,6 @@ def bell_diagonal_initial(p: float) -> np.ndarray:
     return rho
 
 
-def evolved_max_entangled(c: float) -> np.ndarray:
-    """Closed-form evolved maximally entangled state at amplitude c.
-
-    Equals apply_memory_decay(max_entangled_initial(), c) entrywise; kept as
-    an explicit constructor so the channel can be cross-checked against it.
-    """
-    c = float(c)
-    if not abs(c) <= 1.0 + _AMPLITUDE_SLACK:  # written so that NaN fails too
-        raise ValueError(f"amplitude {c} out of range [-1, 1]")
-    c = min(max(c, -1.0), 1.0)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 0.5 * c * c
-    rho[1, 1] = 0.5 * (1.0 - c * c)
-    rho[3, 3] = 0.5
-    rho[0, 3] = rho[3, 0] = 0.5 * c
-    return rho
-
-
-def evolved_bell_diagonal_closed_form(p: float, c: float) -> np.ndarray:
-    """Closed-form snapshot of the evolved Bell-diagonal state.  Known inconsistent.
-
-    This tabulated matrix does not reduce to bell_diagonal_initial(p) at
-    c = 1 (its corner coherences are doubled and its diagonal follows a
-    different basis ordering), and it is not positive semidefinite for all
-    parameters.  It exists solely as an audit target for discrepancy_report;
-    the sweep pipeline always evolves states through apply_memory_decay.
-    """
-    p = float(p)
-    c = float(c)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not abs(c) <= 1.0:
-        raise ValueError(f"amplitude {c} out of range [-1, 1]")
-    c2 = c * c
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 0.25 * (1.0 + p) * c2
-    rho[1, 1] = 0.25 * (1.0 - p) + 0.25 * (1.0 + p) * (1.0 - c2)
-    rho[2, 2] = 0.25 * (1.0 - p) * c2
-    rho[3, 3] = 0.25 * (1.0 + p) + 0.25 * (1.0 - p) * (1.0 - c2)
-    rho[0, 3] = rho[3, 0] = 0.5 * (1.0 - p) * abs(c)
-    rho[1, 2] = rho[2, 1] = 0.5 * (1.0 - 3.0 * p) * c
-    return rho
-
-
 # Pauli-basis route kept exposed for tests: the Bell mixture equals
 # (I@I + sum_i r_i sigma_i @ sigma_i) / 4 with r = bell_diagonal_r_vector(p).
 def bell_diagonal_from_r(r: tuple[float, float, float]) -> np.ndarray:

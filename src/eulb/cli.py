@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
+from .audit import discrepancy_report
 from .sweep import (
     ConfigError,
-    discrepancy_report,
     emit_csv,
     figure_preset,
     oracle_report,
@@ -75,7 +76,7 @@ def _load_config(args: argparse.Namespace):
     if getattr(args, "fig", None) is not None:
         return figure_preset(args.fig)
     try:
-        text = open(args.config, "r", encoding="utf-8").read()
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     return parse_config(text)

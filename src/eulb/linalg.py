@@ -4,15 +4,13 @@ States are plain ``numpy`` arrays.  Two-qubit matrices use the A-major
 basis ordering |00>, |01>, |10>, |11> (flat index = 2a + b) throughout
 the package.  All entropies are in bits (base-2 logarithms).
 
-Every function except binary_entropy accepts one matrix or a stack of
-shape (..., n, n), such as one state per time point, and works on the
-whole stack through the same code: checks run once over the stack, and
-results gain the leading stack axes.
+Every function accepts one matrix or a stack of shape (..., n, n), such
+as one state per time point, and works on the whole stack through the
+same code: checks run once over the stack, and results gain the leading
+stack axes.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -110,15 +108,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     return entropy_from_eigenvalues(eigenvalues_hermitian(rho))
 
 
-def binary_entropy(x: float) -> float:
-    """Binary entropy -x log2 x - (1-x) log2 (1-x) in bits, for x in [0, 1]."""
-    x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
+def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
+    """Binary entropy -x log2 x - (1-x) log2 (1-x) in bits, for x in [0, 1], elementwise."""
+    x = np.asarray(x, dtype=float)
+    if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
         raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    s = 0.0
-    if x > 0.0:
-        s -= x * math.log2(x)
-    if x < 1.0:
-        s -= (1.0 - x) * math.log2(1.0 - x)
-    return s
+    x = np.clip(x, 0.0, 1.0)
+    return entropy_from_eigenvalues(np.stack([x, 1.0 - x], axis=-1))

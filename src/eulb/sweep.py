@@ -1,4 +1,4 @@
-"""Parameter sweeps, deterministic CSV emission, and the audit reports.
+"""Parameter sweeps, deterministic CSV emission, and the oracle report.
 
 A sweep evolves one of the two reference initial states through the memory
 decay channel on a uniform time grid for each qubit count N, recording the
@@ -15,13 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundsRecord, bounds_record, closed_form_report, pauli_x, pauli_z
-from .channel import (
-    apply_memory_decay,
-    bell_diagonal_initial,
-    evolved_bell_diagonal_closed_form,
-    max_entangled_initial,
-)
+from .bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
+from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from .reservoir import (
     ReservoirParams,
     _is_int,
@@ -33,7 +28,6 @@ from .reservoir import (
 
 KERNEL_ORACLE_TOL = 1e-6
 DISCRETE_ORACLE_TOL = 5e-3
-CONSISTENCY_TOL = 1e-9
 
 _STATES = ("max_entangled", "bell_diagonal")
 
@@ -42,15 +36,6 @@ _STATES = ("max_entangled", "bell_diagonal")
 # the figure presets (four N), up to ~1.9 kB per row when one N carries
 # every row.  500k rows therefore stay below about 1 GB.
 _MAX_SWEEP_ROWS = 500_000
-
-# The audit evaluates its amplitude grid in stacks of this many points, so
-# its memory stays fixed whatever the grid size.  The ledger's temporaries
-# take ~2.5 kB per amplitude: the tracemalloc peak of a 101-point audit is
-# ~0.013 MB point by point, ~0.04 MB at 8 points, ~0.06 MB at 16 and
-# ~0.26 MB as one stack.  8 points already cut the audit from ~150 ms to
-# ~38 ms (2-vCPU VM, numpy 2.4); 16 would give ~26 ms.
-_AUDIT_BLOCK = 8
-_MAX_AUDIT_POINTS = 1_000_000
 
 CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_info,cond_entropy"
 
@@ -170,16 +155,20 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def format_config(config: SweepConfig) -> str:
-    """Render a config in the canonical form accepted by parse_config."""
+    """Render a config in the canonical form accepted by parse_config.
+
+    Floats are written as repr(float(x)) and integers as int(x), so numpy
+    scalars render like the Python numbers parse_config reads back.
+    """
     return "\n".join(
         [
             f"state = {config.state}",
-            f"lambda_over_gamma0 = {config.lambda_over_gamma0!r}",
-            f"p = {config.p!r}",
-            "n_qubits_list = " + ", ".join(str(n) for n in config.n_qubits_list),
-            f"t_max_gamma0 = {config.t_max_gamma0!r}",
-            f"steps = {config.steps}",
-            f"excited_label = {config.excited_label}",
+            f"lambda_over_gamma0 = {float(config.lambda_over_gamma0)!r}",
+            f"p = {float(config.p)!r}",
+            "n_qubits_list = " + ", ".join(str(int(n)) for n in config.n_qubits_list),
+            f"t_max_gamma0 = {float(config.t_max_gamma0)!r}",
+            f"steps = {int(config.steps)}",
+            f"excited_label = {int(config.excited_label)}",
         ]
     )
 
@@ -373,118 +362,4 @@ def oracle_report(
         discrete=discrete_rows,
         discrete_max_norm_error=max_norm_err,
         discrete_window_warning=window_warning,
-    )
-
-
-# --- discrepancy report -----------------------------------------------------
-
-
-@dataclass
-class FormulaAudit:
-    name: str
-    max_deviation: float
-    worst_c: float
-
-    @property
-    def consistent(self) -> bool:
-        return self.max_deviation <= CONSISTENCY_TOL
-
-    @property
-    def status(self) -> str:
-        return "CONSISTENT" if self.consistent else "FLAGGED"
-
-
-@dataclass
-class MatrixAudit:
-    """Entrywise gap between the tabulated evolved Bell-diagonal matrix and the channel."""
-
-    max_deviation: float
-    worst_c: float
-    worst_entry: tuple[int, int]
-    deviation_at_full_amplitude: float  # at c = 1, where both should equal the initial state
-
-
-@dataclass
-class DiscrepancyReport:
-    p: float
-    amplitude_grid: np.ndarray
-    formulas: list[FormulaAudit]
-    evolved_matrix: MatrixAudit
-
-    def audit(self, name: str) -> FormulaAudit:
-        for row in self.formulas:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
-    def render(self) -> str:
-        lines = [
-            f"closed-form audit (p = {self.p:g}, {self.amplitude_grid.size}-point amplitude grid)",
-            f"  {'formula':20s} {'max |dev|':>12s} {'at c':>6s}  status",
-        ]
-        for row in self.formulas:
-            lines.append(
-                f"  {row.name:20s} {row.max_deviation:12.3e} {row.worst_c:6.2f}  {row.status}"
-            )
-        m = self.evolved_matrix
-        status = "CONSISTENT" if m.max_deviation <= CONSISTENCY_TOL else "FLAGGED"
-        lines.append(
-            f"  {'bell_evolved_matrix':20s} {m.max_deviation:12.3e} {m.worst_c:6.2f}  {status}"
-            f"  (entry {m.worst_entry}, dev at c=1: {m.deviation_at_full_amplitude:.3e})"
-        )
-        return "\n".join(lines)
-
-
-def discrepancy_report(p: float = 0.5, grid_points: int = 101) -> DiscrepancyReport:
-    """Audit every closed form against the definition route over c in [0, 1].
-
-    Also compares the tabulated evolved Bell-diagonal matrix entrywise
-    against channel evolution of the same initial state.  Formulas whose
-    maximal deviation exceeds 1e-9 are marked FLAGGED; discrepancies are
-    reported, never raised.  grid_points is an integer in [2, 10^6]; the
-    grid is evaluated in amplitude stacks of _AUDIT_BLOCK points.
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not _is_int(grid_points) or not 2 <= grid_points <= _MAX_AUDIT_POINTS:
-        raise ValueError(
-            f"grid_points must be an integer in [2, {_MAX_AUDIT_POINTS}], got {grid_points!r}"
-        )
-    grid = np.linspace(0.0, 1.0, grid_points)
-    worst: dict[str, tuple[float, float]] = {}
-    matrix_worst = (0.0, 0.0, (0, 0))
-    initial = bell_diagonal_initial(p)
-    # argmax takes the first maximum within a block and only a strictly
-    # greater value replaces it across blocks, so the worst c is the first
-    # one on the grid, as a point-by-point scan would report it.
-    for start in range(0, grid.size, _AUDIT_BLOCK):
-        block = grid[start : start + _AUDIT_BLOCK]
-        for row in closed_form_report(block, p):
-            i = int(np.argmax(row.deviation))
-            dev, _ = worst.get(row.name, (-1.0, 0.0))
-            if row.deviation[i] > dev:
-                worst[row.name] = (float(row.deviation[i]), float(block[i]))
-        tabulated = np.array([evolved_bell_diagonal_closed_form(p, c) for c in block])
-        gap = np.abs(tabulated - apply_memory_decay(initial, block))
-        k, a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[k, a, b] > matrix_worst[0]:
-            matrix_worst = (float(gap[k, a, b]), float(block[k]), (int(a), int(b)))
-    gap_full = np.abs(
-        evolved_bell_diagonal_closed_form(p, 1.0) - apply_memory_decay(initial, 1.0)
-    )
-    formulas = [
-        FormulaAudit(name=name, max_deviation=dev, worst_c=c)
-        for name, (dev, c) in worst.items()
-    ]
-    return DiscrepancyReport(
-        p=p,
-        amplitude_grid=grid,
-        formulas=formulas,
-        evolved_matrix=MatrixAudit(
-            max_deviation=matrix_worst[0],
-            worst_c=matrix_worst[1],
-            worst_entry=matrix_worst[2],
-            deviation_at_full_amplitude=float(np.max(gap_full)),
-        ),
     )

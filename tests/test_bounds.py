@@ -6,16 +6,15 @@ import math
 import numpy as np
 import pytest
 
-import eulb.bounds as bounds_mod
+import eulb.audit as audit_mod
 from conftest import random_density_matrix, random_observable_pair, random_unitary
+from eulb.audit import closed_form_report
 from eulb.bounds import (
     BoundsRecord,
     Observable,
     adabi_bound,
     berta_bound,
     bounds_record,
-    closed_form_report,
-    closed_form_terms,
     complementarity,
     conditional_entropy,
     holevo,
@@ -307,13 +306,6 @@ class TestBoundsRecord:
 
 
 class TestClosedForms:
-    def test_terms_range(self):
-        for c in np.linspace(-1, 1, 41):
-            terms = closed_form_terms(c)
-            assert math.sqrt(3.0) / 2.0 - 1e-12 <= terms.eta <= 1.0 + 1e-12
-            assert abs(terms.theta - terms.eta / 4.0) < 1e-15
-            assert abs(terms.alpha_plus + terms.alpha_minus - 2.0) < 1e-15
-
     def test_report_row_names(self):
         names = [row.name for row in closed_form_report(0.5)]
         assert names == [
@@ -387,6 +379,6 @@ class TestClosedForms:
         def unreachable(*args, **kwargs):
             raise AssertionError("ledger reached with a non-finite amplitude")
 
-        monkeypatch.setattr(bounds_mod, "apply_memory_decay", unreachable)
+        monkeypatch.setattr(audit_mod, "apply_memory_decay", unreachable)
         with pytest.raises(ValueError, match="finite"):
             closed_form_report(bad)

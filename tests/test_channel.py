@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix
+from eulb.audit import evolved_bell_diagonal_closed_form, evolved_max_entangled
 from eulb.channel import (
     apply_memory_decay,
     bell_diagonal_from_r,
     bell_diagonal_initial,
     bell_diagonal_r_vector,
-    evolved_bell_diagonal_closed_form,
-    evolved_max_entangled,
     max_entangled_initial,
 )
 from eulb.linalg import (

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 import eulb.sweep as sweep_mod
@@ -39,6 +42,14 @@ def test_sweep_deterministic(tmp_path, config_path):
 def test_oracle_pass(config_path, capsys):
     assert main(["oracle", "--config", str(config_path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_config_file_closed(config_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["oracle", "--config", str(config_path)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_oracle_with_discrete_modes(tmp_path, capsys):

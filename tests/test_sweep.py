@@ -6,14 +6,14 @@ import io
 import numpy as np
 import pytest
 
+import eulb.audit as audit_mod
 import eulb.sweep as sweep_mod
-from eulb.bounds import closed_form_report
-from eulb.channel import apply_memory_decay, bell_diagonal_initial, evolved_bell_diagonal_closed_form
+from eulb.audit import closed_form_report, discrepancy_report, evolved_bell_diagonal_closed_form
+from eulb.channel import apply_memory_decay, bell_diagonal_initial
 from eulb.sweep import (
     CSV_HEADER,
     ConfigError,
     SweepConfig,
-    discrepancy_report,
     emit_csv,
     figure_preset,
     format_config,
@@ -61,6 +61,28 @@ class TestConfigDocument:
             steps=301,
             excited_label=1,
         )
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_round_trip_numpy_scalars(self):
+        plain = SweepConfig(
+            state="bell_diagonal",
+            lambda_over_gamma0=0.1,
+            p=0.25,
+            n_qubits_list=(1, 4),
+            t_max_gamma0=7.5,
+            steps=301,
+            excited_label=1,
+        )
+        cfg = SweepConfig(
+            state="bell_diagonal",
+            lambda_over_gamma0=np.float64(0.1),
+            p=np.float64(0.25),
+            n_qubits_list=(np.int64(1), np.int64(4)),
+            t_max_gamma0=np.float64(7.5),
+            steps=np.int64(301),
+            excited_label=np.int64(1),
+        )
+        assert format_config(cfg) == format_config(plain)
         assert parse_config(format_config(cfg)) == cfg
 
     def test_round_trip_presets(self):
@@ -415,7 +437,7 @@ class TestDiscrepancyReport:
         assert report.evolved_matrix == reference.evolved_matrix
 
 
-def _pointwise_discrepancy(p: float, grid_points: int) -> sweep_mod.DiscrepancyReport:
+def _pointwise_discrepancy(p: float, grid_points: int) -> audit_mod.DiscrepancyReport:
     """The audit as a scan of one scalar closed_form_report per amplitude."""
     grid = np.linspace(0.0, 1.0, grid_points)
     worst = {}
@@ -431,11 +453,11 @@ def _pointwise_discrepancy(p: float, grid_points: int) -> sweep_mod.DiscrepancyR
         if gap[idx] > matrix_worst[0]:
             matrix_worst = (float(gap[idx]), float(c), (int(idx[0]), int(idx[1])))
     gap_full = np.abs(evolved_bell_diagonal_closed_form(p, 1.0) - apply_memory_decay(initial, 1.0))
-    return sweep_mod.DiscrepancyReport(
+    return audit_mod.DiscrepancyReport(
         p=p,
         amplitude_grid=grid,
-        formulas=[sweep_mod.FormulaAudit(name, dev, c) for name, (dev, c) in worst.items()],
-        evolved_matrix=sweep_mod.MatrixAudit(
+        formulas=[audit_mod.FormulaAudit(name, dev, c) for name, (dev, c) in worst.items()],
+        evolved_matrix=audit_mod.MatrixAudit(
             max_deviation=matrix_worst[0],
             worst_c=matrix_worst[1],
             worst_entry=matrix_worst[2],
