@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _load_config(args)
             output = run_sweep(config)
             emit_csv(output, args.out)
-            print(f"wrote {len(output.rows)} rows to {args.out}")
+            print(f"wrote {config.steps * len(output.ledgers)} rows to {args.out}")
             return 0
         if args.command == "oracle":
             config = _load_config(args)

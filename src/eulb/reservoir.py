@@ -52,6 +52,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # a Python or numpy real number; bool and np.bool_ are flags, and strings
+    # or None must fail as input errors before any arithmetic sees them
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ReservoirParams:
     """Lorentzian bath parameters and the number of qubits sharing it.

@@ -1,16 +1,17 @@
 """Parameter sweeps, deterministic CSV emission, and the oracle report.
 
 A sweep evolves one of the two reference initial states through the memory
-decay channel on a uniform time grid for each qubit count N, recording the
-full bounds ledger per (N, t).  Each N is evaluated as one (steps, 4, 4)
-time stack: one channel call and one ledger call.  Output is
+decay channel on a uniform time grid for each qubit count N.  Each N is
+evaluated as one (steps, 4, 4) time stack, one channel call and one ledger
+call, and kept as that stacked ledger: a BoundsRecord whose fields are
+arrays over the grid.  The CSV is rendered from those columns.  Output is
 deterministic: the same configuration always produces byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_in
 from .reservoir import (
     ReservoirParams,
     _is_int,
+    _is_real,
     build_mode_grid,
     decay_amplitude,
     discrete_mode_oracle,
@@ -31,13 +33,15 @@ DISCRETE_ORACLE_TOL = 5e-3
 
 _STATES = ("max_entangled", "bell_diagonal")
 
-# A sweep holds all its rows at once and evaluates each N as one time stack.
-# Measured tracemalloc peak of run_sweep + render_csv: ~0.95 kB per row for
-# the figure presets (four N), up to ~1.9 kB per row when one N carries
-# every row.  500k rows therefore stay below about 1 GB.
+# A sweep evaluates each N as one time stack and holds its ledgers and the
+# rendered CSV at once.  Measured tracemalloc peak of run_sweep + render_csv:
+# ~0.58 kB per row for the figure presets (four N), up to ~1.9 kB per row
+# when one N carries every row, where that N's ledger temporaries set the
+# peak.  500k rows therefore stay below about 1 GB.
 _MAX_SWEEP_ROWS = 500_000
 
 CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_info,cond_entropy"
+_ROW_FORMAT = "%d," + ",".join(["%.12g"] * 10)  # n, then the BoundsRecord fields in order
 
 
 class ConfigError(ValueError):
@@ -70,17 +74,18 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     if config.state not in _STATES:
         raise ConfigError(f"state must be one of {_STATES}, got {config.state!r}")
     lam = config.lambda_over_gamma0
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+    if not (_is_real(lam) and math.isfinite(lam) and lam > 0):
         raise ConfigError(f"lambda_over_gamma0 must be positive and finite, got {lam!r}")
-    if not (isinstance(config.p, (int, float)) and 0.0 <= config.p <= 1.0):
+    if not (_is_real(config.p) and 0.0 <= config.p <= 1.0):
         raise ConfigError(f"p must be in [0, 1], got {config.p!r}")
     ns = config.n_qubits_list
     if not ns or any(not _is_int(n) or n < 1 for n in ns):
         raise ConfigError(f"n_qubits_list must be integers >= 1, got {ns!r}")
     if len(set(ns)) != len(ns):
         raise ConfigError(f"n_qubits_list must not contain duplicates, got {ns!r}")
-    if not (math.isfinite(config.t_max_gamma0) and config.t_max_gamma0 > 0):
-        raise ConfigError(f"t_max_gamma0 must be positive and finite, got {config.t_max_gamma0!r}")
+    t_max = config.t_max_gamma0
+    if not (_is_real(t_max) and math.isfinite(t_max) and t_max > 0):
+        raise ConfigError(f"t_max_gamma0 must be positive and finite, got {t_max!r}")
     if not _is_int(config.steps) or config.steps < 2:
         raise ConfigError(f"steps must be an integer >= 2, got {config.steps!r}")
     if config.steps * len(ns) > _MAX_SWEEP_ROWS:
@@ -178,8 +183,15 @@ def format_config(config: SweepConfig) -> str:
 
 @dataclass
 class SweepOutput:
+    """A sweep's configuration and its ledger, one stacked record per N.
+
+    ledgers maps each qubit count, in ascending order, to the BoundsRecord
+    that bounds_record returns for the whole time grid: every field is an
+    array of config.steps values, one per grid time.
+    """
+
     config: SweepConfig
-    rows: list[tuple[int, BoundsRecord]]  # sorted by (n_qubits, t)
+    ledgers: dict[int, BoundsRecord]
 
 
 def _initial_state(config: SweepConfig) -> np.ndarray:
@@ -201,18 +213,13 @@ def run_sweep(config: SweepConfig) -> SweepOutput:
     x, z = pauli_x(), pauli_z()
     initial = _initial_state(config)
     times = _time_grid(config)
-    rows: list[tuple[int, BoundsRecord]] = []
+    ledgers: dict[int, BoundsRecord] = {}
     for n in sorted(config.n_qubits_list):
         params = ReservoirParams(gamma0=1.0, lambda_=config.lambda_over_gamma0, n_qubits=n)
         amplitudes = decay_amplitude(params, times)
         states = apply_memory_decay(initial, amplitudes, excited=config.excited_label)
-        ledger = bounds_record(states, x, z, t=times, amplitude=amplitudes)
-        rows += [(n, BoundsRecord(*values)) for values in np.column_stack(astuple(ledger)).tolist()]
-    return SweepOutput(config=config, rows=rows)
-
-
-def _render_number(x: float) -> str:
-    return format(x + 0.0, ".12g")  # + 0.0 normalizes -0.0
+        ledgers[n] = bounds_record(states, x, z, t=times, amplitude=amplitudes)
+    return SweepOutput(config=config, ledgers=ledgers)
 
 
 def render_csv(output: SweepOutput) -> str:
@@ -221,27 +228,10 @@ def render_csv(output: SweepOutput) -> str:
     lines = [f"# eulb {__version__}"]
     lines += ["# " + line for line in format_config(output.config).splitlines()]
     lines.append(CSV_HEADER)
-    for n, rec in output.rows:
-        lines.append(
-            ",".join(
-                [str(n)]
-                + [
-                    _render_number(v)
-                    for v in (
-                        rec.t,
-                        rec.amplitude,
-                        rec.u_left,
-                        rec.berta,
-                        rec.adabi,
-                        rec.delta,
-                        rec.holevo_q,
-                        rec.holevo_r,
-                        rec.mutual_info,
-                        rec.cond_entropy,
-                    )
-                ]
-            )
-        )
+    for n, ledger in output.ledgers.items():
+        # + 0.0 writes -0.0 as 0
+        columns = np.column_stack([getattr(ledger, f.name) for f in fields(ledger)]) + 0.0
+        lines += [_ROW_FORMAT % (n, *row) for row in columns.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -140,13 +140,14 @@ def test_criterion_04_bell_diagonal_start_values():
 
 def test_criterion_05_markovian_saturation(preset_sweeps):
     failures = []
-    last = [rec for n, rec in preset_sweeps[3].rows if n == 1][-1]
-    if last.t != 20.0:
-        failures.append(f"last grid point is {last.t}, expected 20")
-    if abs(last.adabi - 2.0) > 1e-3:
-        failures.append(f"|adabi - 2| = {abs(last.adabi - 2.0):.3e} > 1e-3")
-    if abs(last.amplitude) > 1e-4:
-        failures.append(f"|C| = {abs(last.amplitude):.3e} > 1e-4")
+    ledger = preset_sweeps[3].ledgers[1]
+    t, adabi, amplitude = ledger.t[-1], ledger.adabi[-1], ledger.amplitude[-1]
+    if t != 20.0:
+        failures.append(f"last grid point is {t}, expected 20")
+    if abs(adabi - 2.0) > 1e-3:
+        failures.append(f"|adabi - 2| = {abs(adabi - 2.0):.3e} > 1e-3")
+    if abs(amplitude) > 1e-4:
+        failures.append(f"|C| = {abs(amplitude):.3e} > 1e-4")
     _report("05 Markovian saturation at gamma0*t = 20", failures)
 
 
@@ -161,9 +162,9 @@ def test_criterion_06_inequality_chain(preset_sweeps):
         worst_u = min(worst_u, rec.u_left - rec.adabi)
         worst_b = min(worst_b, rec.adabi - rec.berta)
     for fig, output in preset_sweeps.items():
-        for _, rec in output.rows:
-            worst_u = min(worst_u, rec.u_left - rec.adabi)
-            worst_b = min(worst_b, rec.adabi - rec.berta)
+        for ledger in output.ledgers.values():
+            worst_u = min(worst_u, float(np.min(ledger.u_left - ledger.adabi)))
+            worst_b = min(worst_b, float(np.min(ledger.adabi - ledger.berta)))
     if worst_u < -1e-9:
         failures.append(f"u_left - adabi dips to {worst_u:.3e}")
     if worst_b < -1e-9:
@@ -214,10 +215,7 @@ def test_criterion_08_closed_form_audit():
 def test_criterion_09_protection_by_additional_qubits(preset_sweeps):
     failures = []
     for fig, output in preset_sweeps.items():
-        averages = {}
-        for n, rec in output.rows:
-            averages.setdefault(n, []).append(rec.adabi)
-        means = [float(np.mean(averages[n])) for n in (1, 2, 5, 10)]
+        means = [float(np.mean(output.ledgers[n].adabi)) for n in (1, 2, 5, 10)]
         if not all(a > b for a, b in zip(means, means[1:])):
             failures.append(f"preset {fig}: time-averaged adabi not strictly decreasing: {means}")
     _report("09 protection by N across all four presets", failures)
@@ -225,11 +223,11 @@ def test_criterion_09_protection_by_additional_qubits(preset_sweeps):
 
 def test_criterion_10_revival_and_monotonicity(preset_sweeps):
     failures = []
-    adabi_nm = np.array([rec.adabi for n, rec in preset_sweeps[2].rows if n == 1])
+    adabi_nm = preset_sweeps[2].ledgers[1].adabi
     largest_drop = float(np.max(np.maximum.accumulate(adabi_nm) - adabi_nm))
     if largest_drop <= 0.01:
         failures.append(f"non-Markovian largest drop {largest_drop:.4f} <= 0.01")
-    adabi_m = np.array([rec.adabi for n, rec in preset_sweeps[3].rows if n == 1])
+    adabi_m = preset_sweeps[3].ledgers[1].adabi
     if not np.all(np.diff(adabi_m) >= -1e-9):
         failures.append("Markovian adabi not non-decreasing within 1e-9")
     _report(f"10 non-Markovian revival (drop {largest_drop:.3f}) / Markovian monotonicity", failures)
@@ -252,9 +250,8 @@ def test_criterion_12_paper_claim_ordering_in_n(preset_sweeps):
     # during the revivals, so only the time average is ordered.
     failures = []
     for fig, output in preset_sweeps.items():
-        ns = sorted({n for n, _ in output.rows})
         columns = {
-            name: np.array([[getattr(rec, name) for m, rec in output.rows if m == n] for n in ns])
+            name: np.array([getattr(ledger, name) for ledger in output.ledgers.values()])
             for name in ("u_left", "adabi", "berta", "amplitude")
         }
         if fig in (3, 5):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eulb.bounds import BoundsRecord
@@ -58,21 +59,24 @@ def golden():
 @pytest.mark.parametrize("case", list(CASES))
 def test_ledger_matches_golden(golden, case):
     expected = golden[case]
-    rows = run_sweep(case_config(case)).rows
-    assert [n for n, _ in rows] == [n for n, _ in expected]
+    ledgers = run_sweep(case_config(case)).ledgers
+    assert [n for n, ledger in ledgers.items() for _ in ledger.t] == [n for n, _ in expected]
+    want = np.array([values for _, values in expected])
     worst = {}
-    for (_, rec), (_, want) in zip(rows, expected):
-        for name, w in zip(FIELDS, want):
-            worst[name] = max(worst.get(name, 0.0), abs(getattr(rec, name) - w))
-    bad = {name: dev for name, dev in worst.items() if dev > GOLDEN_ATOL}
+    for name, w in zip(FIELDS, want.T):
+        got = np.concatenate([getattr(ledger, name) for ledger in ledgers.values()])
+        worst[name] = float(np.max(np.abs(got - w)))
+    bad = {name: dev for name, dev in worst.items() if not dev <= GOLDEN_ATOL}
     assert not bad, f"{case}: columns off the golden ledger: {bad}"
 
 
 def write_golden() -> None:
     lines = [",".join(["case", "n", *FIELDS])]
     for case in CASES:
-        for n, rec in run_sweep(case_config(case)).rows:
-            lines.append(",".join([case, str(n)] + [repr(float(getattr(rec, f))) for f in FIELDS]))
+        for n, ledger in run_sweep(case_config(case)).ledgers.items():
+            for i in range(len(ledger.t)):
+                values = [repr(float(getattr(ledger, f)[i])) for f in FIELDS]
+                lines.append(",".join([case, str(n)] + values))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("\n".join(lines) + "\n", encoding="ascii")
 

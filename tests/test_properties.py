@@ -1,4 +1,5 @@
-"""Property tests of the ledger over random states and observable pairs.
+"""Property tests of the channel and the ledger over random states,
+observable pairs and local unitaries.
 
 Hypothesis runs derandomized, so the drawn examples are the same on every
 run and tier-1 stays reproducible.
@@ -6,13 +7,16 @@ run and tier-1 stays reproducible.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eulb.bounds import Observable, bounds_record, complementarity
-from eulb.linalg import partial_trace, von_neumann_entropy
+from eulb.bounds import BoundsRecord, Observable, bounds_record, complementarity, pauli_x, pauli_z
+from eulb.channel import apply_memory_decay
+from eulb.linalg import partial_trace, tensor_product, von_neumann_entropy
 
 TOL = 1e-9
 _unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -31,15 +35,26 @@ def states(draw) -> np.ndarray:
     return rho / trace
 
 
+def _su2(u: float, v: float, w: float) -> np.ndarray:
+    cu, su = np.cos(u), np.sin(u)
+    return np.array(
+        [[cu * np.exp(1j * v), su * np.exp(1j * w)], [-su * np.exp(-1j * w), cu * np.exp(-1j * v)]]
+    )
+
+
+@st.composite
+def unitaries(draw) -> np.ndarray:
+    """A qubit unitary: an SU(2) element with any global phase."""
+    phase, u, v, w = (draw(_angle) for _ in range(4))
+    return np.exp(1j * phase) * _su2(u, v, w)
+
+
 @st.composite
 def observable_pairs(draw) -> tuple[Observable, Observable, float]:
     """Two qubit observables whose complementarity c is anywhere in [1/2, 1]."""
     c = draw(st.floats(0.5, 1.0))
     a, b, u, v, w = (draw(_angle) for _ in range(5))
-    cu, su = np.cos(u), np.sin(u)
-    kets = np.array(
-        [[cu * np.exp(1j * v), su * np.exp(1j * w)], [-su * np.exp(-1j * w), cu * np.exp(-1j * v)]]
-    )
+    kets = _su2(u, v, w)
     s, t = np.sqrt(c), np.sqrt(1.0 - c)
     mix = np.array(
         [[s * np.exp(1j * a), t * np.exp(1j * b)], [-t * np.exp(-1j * b), s * np.exp(-1j * a)]]
@@ -58,3 +73,27 @@ def test_inequality_chain_and_holevo_range(rho, pair):
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
     for chi in (rec.holevo_q, rec.holevo_r):
         assert -TOL <= chi <= s_b + TOL
+
+
+_FLIP_B = tensor_product(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(rho=states(), c=_unit)
+def test_excited_label_one_is_flip_conjugated_channel(rho, c):
+    # relabeling the decaying memory level is sigma_x on B before and after
+    flipped = _FLIP_B @ apply_memory_decay(_FLIP_B @ rho @ _FLIP_B, c) @ _FLIP_B
+    assert np.max(np.abs(apply_memory_decay(rho, c, excited=1) - flipped)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(rho=states(), u=unitaries())
+def test_ledger_invariant_under_unitary_on_memory(rho, u):
+    # every ledger field is a function of entropies conditioned on B or of
+    # S(B) itself, so a basis change on the memory leaves all of them alone
+    local = tensor_product(np.eye(2), u)
+    moved = local @ rho @ local.conj().T
+    x, z = pauli_x(), pauli_z()
+    before, after = bounds_record(rho, x, z), bounds_record(moved, x, z)
+    for f in fields(BoundsRecord):
+        assert abs(getattr(after, f.name) - getattr(before, f.name)) <= TOL, f.name

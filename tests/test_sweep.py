@@ -9,11 +9,13 @@ import pytest
 import eulb.audit as audit_mod
 import eulb.sweep as sweep_mod
 from eulb.audit import closed_form_report, discrepancy_report, evolved_bell_diagonal_closed_form
+from eulb.bounds import BoundsRecord
 from eulb.channel import apply_memory_decay, bell_diagonal_initial
 from eulb.sweep import (
     CSV_HEADER,
     ConfigError,
     SweepConfig,
+    SweepOutput,
     emit_csv,
     figure_preset,
     format_config,
@@ -155,6 +157,23 @@ class TestConfigLimits:
         with pytest.raises(ConfigError, match="excited_label"):
             validate_config(dataclasses.replace(self.BASE, excited_label=1.0))
 
+    def test_numpy_reals_accepted(self):
+        cfg = dataclasses.replace(
+            self.BASE, lambda_over_gamma0=np.int64(40), p=np.float32(0.1), t_max_gamma0=np.float32(2)
+        )
+        assert validate_config(cfg) is cfg
+
+    def test_bool_reals_rejected(self):
+        for key in ("lambda_over_gamma0", "p", "t_max_gamma0"):
+            for flag in (True, np.True_):
+                with pytest.raises(ConfigError, match=key):
+                    validate_config(dataclasses.replace(self.BASE, **{key: flag}))
+
+    def test_non_number_end_time_rejected(self):
+        for value in ("5", None):
+            with pytest.raises(ConfigError, match="t_max_gamma0"):
+                validate_config(dataclasses.replace(self.BASE, t_max_gamma0=value))
+
     def test_numpy_integers_accepted(self):
         cfg = dataclasses.replace(
             self.BASE, steps=np.int64(3), n_qubits_list=(np.int32(2),), excited_label=np.int8(1)
@@ -192,22 +211,20 @@ class TestFigurePresets:
 class TestRunSweep:
     def test_row_count_and_order(self):
         out = run_sweep(SMALL)
-        assert len(out.rows) == 2 * 21
-        ns = [n for n, _ in out.rows]
-        assert ns == sorted(ns)
-        for n in (1, 2):
-            ts = [rec.t for m, rec in out.rows if m == n]
+        assert list(out.ledgers) == [1, 2]
+        for ledger in out.ledgers.values():
+            ts = ledger.t.tolist()
+            assert len(ts) == 21
             assert ts == sorted(ts)
             assert ts[0] == 0.0 and ts[-1] == 2.0
 
     def test_initial_row_is_certain(self):
-        out = run_sweep(SMALL)
-        first = out.rows[0][1]
-        assert first.amplitude == 1.0
-        for value in (first.u_left, first.berta, first.adabi):
+        first = run_sweep(SMALL).ledgers[1]
+        assert first.amplitude[0] == 1.0
+        for value in (first.u_left[0], first.berta[0], first.adabi[0]):
             assert abs(value) < 1e-9
-        assert abs(first.mutual_info - 2.0) < 1e-9
-        assert abs(first.cond_entropy + 1.0) < 1e-9
+        assert abs(first.mutual_info[0] - 2.0) < 1e-9
+        assert abs(first.cond_entropy[0] + 1.0) < 1e-9
 
     def test_unsorted_qubit_list_is_sorted_in_output(self):
         out = run_sweep(
@@ -219,7 +236,7 @@ class TestRunSweep:
                 steps=3,
             )
         )
-        assert [n for n, _ in out.rows] == [1, 1, 1, 5, 5, 5]
+        assert [n for n, ledger in out.ledgers.items() for _ in ledger.t] == [1, 1, 1, 5, 5, 5]
 
     def test_deterministic(self):
         assert render_csv(run_sweep(SMALL)) == render_csv(run_sweep(SMALL))
@@ -235,12 +252,11 @@ class TestRunSweep:
             state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,),
             t_max_gamma0=4.0, steps=41,
         )
-        rows0 = run_sweep(SweepConfig(**base, excited_label=0)).rows
-        rows1 = run_sweep(SweepConfig(**base, excited_label=1)).rows
-        for (_, a), (_, b) in zip(rows0, rows1):
-            assert abs(a.adabi - b.adabi) < 1e-12
-            assert abs(a.u_left - b.u_left) < 1e-12
-            assert abs(a.holevo_q - b.holevo_q) < 1e-12
+        a = run_sweep(SweepConfig(**base, excited_label=0)).ledgers[1]
+        b = run_sweep(SweepConfig(**base, excited_label=1)).ledgers[1]
+        assert np.max(np.abs(a.adabi - b.adabi)) < 1e-12
+        assert np.max(np.abs(a.u_left - b.u_left)) < 1e-12
+        assert np.max(np.abs(a.holevo_q - b.holevo_q)) < 1e-12
 
     def test_bell_sweep_t0_values(self):
         out = run_sweep(
@@ -252,10 +268,10 @@ class TestRunSweep:
                 steps=2,
             )
         )
-        rec = out.rows[0][1]
-        assert abs(rec.berta - 1.5) < 1e-9
-        assert abs(rec.u_left - 1.811278) < 1e-6
-        assert abs(rec.adabi - 1.811278) < 1e-6
+        rec = out.ledgers[1]
+        assert abs(rec.berta[0] - 1.5) < 1e-9
+        assert abs(rec.u_left[0] - 1.811278) < 1e-6
+        assert abs(rec.adabi[0] - 1.811278) < 1e-6
 
 
 class TestCsv:
@@ -286,8 +302,32 @@ class TestCsv:
         assert row[2] == format(float(row[2]), ".12g")
         assert len(row) == 11
 
-    def test_no_negative_zero(self):
-        assert sweep_mod._render_number(-0.0) == "0"
+    @staticmethod
+    def _assert_rows_match_reference(output):
+        names = [f.name for f in dataclasses.fields(BoundsRecord)]
+        expected = []
+        for n, ledger in output.ledgers.items():
+            for i in range(len(ledger.t)):
+                row = [float(getattr(ledger, name)[i]) for name in names]
+                expected.append(",".join([str(n)] + [format(v + 0.0, ".12g") for v in row]))
+        lines = render_csv(output).splitlines()
+        assert lines[lines.index(CSV_HEADER) + 1 :] == expected
+
+    def test_rows_match_reference_format(self):
+        # every value sits in every column once: -0.0 must print as 0, the rest
+        # as format(x, ".12g") prints them
+        values = np.array([-0.0, 5e-324, 0.1 + 0.2, 1e16, 123456789.0123, np.nan])
+        columns = [np.roll(values, k) for k in range(len(dataclasses.fields(BoundsRecord)))]
+        output = SweepOutput(config=SMALL, ledgers={3: BoundsRecord(*columns)})
+        self._assert_rows_match_reference(output)
+
+    def test_sweep_rows_match_reference_format(self):
+        self._assert_rows_match_reference(run_sweep(SMALL))
+        bell = SweepConfig(
+            state="bell_diagonal", lambda_over_gamma0=0.1, p=0.3, n_qubits_list=(2, 1),
+            t_max_gamma0=3.0, steps=31, excited_label=1,
+        )
+        self._assert_rows_match_reference(run_sweep(bell))
 
     def test_emit_to_path_and_bytes(self, tmp_path):
         out = run_sweep(SMALL)
