@@ -10,26 +10,23 @@ closed form
            * [cosh(D t / 2) + (lambda / D) sinh(D t / 2)],
     D = sqrt(lambda^2 - 2 N gamma0 lambda),
 
-which saturates at (N - 1)/N.  Two independent numerical routes validate it:
-an exact local ODE reformulation of the memory-kernel dynamics, and a
-brute-force simulation with explicitly discretized reservoir modes.  Both
-propagate their linear system y' = A y with one truncated Taylor series of
-exp(A h), in steps of h <= 2 / ||A||.
+which saturates at (N - 1)/N.  D is imaginary below the critical coupling
+lambda = 2 N gamma0; decay_amplitude evaluates one cancellation-free
+rewrite of the formula for every coupling.  Two independent numerical
+routes validate it: an exact local ODE reformulation of the memory-kernel
+dynamics, and a brute-force simulation with explicitly discretized
+reservoir modes.  Both propagate their linear system y' = A y with one
+truncated Taylor series of exp(A h), in steps of h <= 2 / ||A||.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-AMPLITUDE_CEILING = 1.0 + 1e-9
-
-# Relative half-width of the Taylor window around the critical coupling,
-# where the (lambda/D) sinh(Dt/2) term is 0/0.
-_CRITICAL_EPS = 1e-8
 
 # Oracle propagator: a truncated Taylor series of exp(A h) per step of
 # h <= _TAYLOR_THETA / ||A|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
@@ -72,9 +69,9 @@ class ReservoirParams:
     n_qubits: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma0) and self.gamma0 > 0):
+        if not (_is_real(self.gamma0) and math.isfinite(self.gamma0) and self.gamma0 > 0):
             raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
-        if not (math.isfinite(self.lambda_) and self.lambda_ > 0):
+        if not (_is_real(self.lambda_) and math.isfinite(self.lambda_) and self.lambda_ > 0):
             raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_}")
         if not _is_int(self.n_qubits) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be an integer >= 1, got {self.n_qubits}")
@@ -145,38 +142,25 @@ def spectral_density(params: ReservoirParams, frequency) -> np.ndarray:
 def decay_amplitude(params: ReservoirParams, t):
     """Closed-form decay amplitude C(t); scalar in, scalar out (arrays broadcast).
 
-    Three branches keep the expression real and finite: hyperbolic for
-    lambda^2 - 2 N gamma0 lambda well above zero, trigonometric well below,
-    and a fourth-order Taylor expansion in D*t across the critical coupling.
-    C(0) = 1 exactly in every branch.
+    The bracket exp(-lambda t/2) [cosh(Dt/2) + (lambda/D) sinh(Dt/2)] equals
+    exp(-kappa t) (1 + kappa g) with kappa = (lambda - D)/2, computed as
+    N gamma0 lambda / (lambda + D), and g = (1 - exp(-D t))/D, which tends
+    to t as D -> 0.  D is taken in complex arithmetic, so one expression
+    covers both sides of the critical coupling; no term cancels and no
+    exponent has a positive real part.  C(0) = 1 exactly.  t must be finite
+    and >= 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("decay_amplitude requires t >= 0")
-    n = float(params.n_qubits)
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
+        raise ValueError("decay_amplitude requires finite t >= 0")
+    n = params.n_qubits
     lam = params.lambda_
-    disc = lam * lam - 2.0 * n * params.gamma0 * lam
-    eps2 = (_CRITICAL_EPS * lam) ** 2
-
-    envelope = np.exp(-0.5 * lam * t_arr)
-    if disc > eps2:
-        d = math.sqrt(disc)
-        # exp(-lam t/2) cosh/sinh recombined into pure decays to avoid overflow
-        bracket_env = 0.5 * (1.0 + lam / d) * np.exp(0.5 * (d - lam) * t_arr) + 0.5 * (
-            1.0 - lam / d
-        ) * np.exp(-0.5 * (d + lam) * t_arr)
-    elif disc < -eps2:
-        w = math.sqrt(-disc)
-        half = 0.5 * w * t_arr
-        bracket_env = envelope * (np.cos(half) + (lam / w) * np.sin(half))
-    else:
-        x = 0.25 * disc * t_arr * t_arr  # (D t / 2)^2, signed
-        cosh_part = 1.0 + x / 2.0 + x * x / 24.0
-        sinh_part = (0.5 * lam * t_arr) * (1.0 + x / 6.0 + x * x / 120.0)
-        bracket_env = envelope * (cosh_part + sinh_part)
-
-    c = ((n - 1.0) + bracket_env) / n
-    c = np.where(t_arr == 0.0, 1.0, c)
+    # the subtraction lam - 2 N gamma0 is exact near the critical coupling;
+    # lam^2 - 2 N gamma0 lam would round both terms first
+    d = cmath.sqrt(lam * (lam - 2 * n * params.gamma0))
+    kappa = n * params.gamma0 * lam / (lam + d)
+    g = t_arr if d == 0 else -np.expm1(-d * t_arr) / d
+    c = ((n - 1) + (np.exp(-kappa * t_arr) * (1 + kappa * g)).real) / n
     if c.ndim == 0:
         return float(c)
     return c

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eulb.bounds import BoundsRecord, Observable, bounds_record, complementarity, pauli_x, pauli_z
-from eulb.channel import apply_memory_decay
+from eulb.channel import apply_memory_decay, max_entangled_initial
 from eulb.linalg import partial_trace, tensor_product, von_neumann_entropy
 
 TOL = 1e-9
@@ -73,6 +73,17 @@ def test_inequality_chain_and_holevo_range(rho, pair):
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
     for chi in (rec.holevo_q, rec.holevo_r):
         assert -TOL <= chi <= s_b + TOL
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(c=_unit, excited=st.sampled_from([0, 1]))
+def test_channel_is_cptp(c, excited):
+    # the Choi matrix is the channel on B of the unnormalised |00> + |11>: the
+    # channel is completely positive iff it is PSD, trace preserving iff its
+    # trace over B is I_A
+    choi = apply_memory_decay(2 * max_entangled_initial(), c, excited)
+    assert np.min(np.linalg.eigvalsh(choi)) >= -1e-12
+    assert np.max(np.abs(partial_trace(choi, "A") - np.eye(2))) <= 1e-12
 
 
 _FLIP_B = tensor_product(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))

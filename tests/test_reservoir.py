@@ -22,8 +22,8 @@ from eulb.reservoir import (
 # Closed-form value at gamma0*t = 0.1 for N=1, lambda=40*gamma0, confirmed by
 # the kernel ODE route and by a 40-digit evaluation of the formula.
 C_AT_01 = 0.9627172615168508
-# First zero crossing of C for N=1, lambda=0.1*gamma0 (root of the
-# trigonometric branch, found to 40 digits independently).
+# First zero crossing of C for N=1, lambda=0.1*gamma0 (root of the closed
+# form below the critical coupling, found to 40 digits independently).
 FIRST_ZERO = 8.242034311692072
 
 # C(t) to 40 digits at gamma0 = 1; written by tests/golden/capture_amplitude.py
@@ -47,6 +47,18 @@ class TestParams:
 
     def test_accepts_numpy_integer_qubit_count(self):
         assert ReservoirParams(1.0, 1.0, np.int64(3)).n_qubits == 3
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "5", None])
+    @pytest.mark.parametrize("name", ["gamma0", "lambda_"])
+    def test_rejects_non_real_rates(self, name, bad):
+        # booleans used to pass as 1, and strings or None raised TypeError
+        rates = {"gamma0": 1.0, "lambda_": 1.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            ReservoirParams(n_qubits=1, **rates)
+
+    def test_accepts_numpy_float_rates(self):
+        params = ReservoirParams(np.float32(0.5), np.float32(0.5), 1)
+        assert params.coupling_ratio == 1.0
 
     def test_timescales(self):
         p = ReservoirParams(2.0, 8.0, 3)
@@ -112,7 +124,8 @@ class TestDecayAmplitude:
             assert abs(c - (n - 1) / n) <= 1e-3
 
     def test_branch_continuity_at_critical_coupling(self):
-        # gamma0 chosen so the discriminant lands at +2eps^2, 0, -2eps^2
+        # gamma0 chosen so lambda^2 - 2 N gamma0 lambda lands at +2e-16, 0 and
+        # -2e-16: D is real, zero and imaginary, and C must not jump between them
         lam, n = 1.0, 1
         eps2 = (1e-8 * lam) ** 2
         values = []
@@ -121,7 +134,27 @@ class TestDecayAmplitude:
             params = ReservoirParams(gamma0, lam, n)
             values.append([decay_amplitude(params, t) for t in (0.5, 2.0, 10.0)])
         spread = np.max(np.abs(np.array(values) - values[1]))
-        assert spread <= 1e-9
+        assert spread <= 1e-14
+
+    def test_matches_mpmath_reference(self):
+        # presets, the critical coupling and lambda = 2N (1 +- 10^-k), k = 3..15
+        reference = _mpmath_reference()
+        assert len(reference) == 8 + 4 + 13 * 2 * 4
+        for (lam, n), rows in reference.items():
+            t, expected = np.array(rows).T
+            dev = np.max(np.abs(decay_amplitude(ReservoirParams(1.0, lam, n), t) - expected))
+            assert dev <= 1e-15, (lam, n, dev)
+
+    def test_finite_over_extreme_parameters(self):
+        t = np.linspace(0.0, 1e4, 20001)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for lam in (1e-6, 0.1, 2.0, 40.0, 1e3, 1e4):
+                for n in (1, 7, 1000, 10**6):
+                    params = ReservoirParams(1.0, lam, n)
+                    c = decay_amplitude(params, t)
+                    assert np.all(np.isfinite(c)), (lam, n)
+                    assert np.max(np.abs(c)) <= 1.0 + 1e-9, (lam, n)
+                    assert decay_amplitude(params, 1e300) == (n - 1) / n, (lam, n)
 
     def test_scalar_and_array_inputs(self):
         params = ReservoirParams(1.0, 0.1, 2)
@@ -134,6 +167,13 @@ class TestDecayAmplitude:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="t >= 0"):
             decay_amplitude(ReservoirParams(1.0, 1.0, 1), -0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.array([0.0, float("nan"), 1.0])])
+    @pytest.mark.parametrize("lam", [0.1, 40.0])
+    def test_non_finite_time_rejected(self, lam, bad):
+        # NaN used to come back as NaN, and inf as (N-1)/N or NaN by regime
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            decay_amplitude(ReservoirParams(1.0, lam, 2), bad)
 
 
 class TestAsymptoticAmplitude:
