@@ -9,8 +9,6 @@ set of closed-form shortcut expressions for the two reference state
 families.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .audit import (
@@ -22,20 +20,12 @@ from .audit import (
 )
 from .bounds import (
     BoundsRecord,
-    MeasurementResult,
     Observable,
-    adabi_bound,
-    berta_bound,
     bounds_record,
     complementarity,
-    conditional_entropy,
-    holevo,
-    measure,
-    mutual_information,
     pauli_x,
     pauli_z,
     post_measurement_state,
-    uncertainty_left,
 )
 from .channel import (
     apply_memory_decay,
@@ -54,12 +44,8 @@ from .linalg import (
 from .reservoir import (
     AmplitudeTrajectory,
     ModeGrid,
-    Regime,
-    RegimeKind,
     ReservoirParams,
-    asymptotic_amplitude,
     build_mode_grid,
-    classify_regime,
     decay_amplitude,
     discrete_mode_oracle,
     kernel_ode_oracle,
@@ -84,28 +70,20 @@ __all__ = [
     "BoundsRecord",
     "ConfigError",
     "DiscrepancyReport",
-    "MeasurementResult",
     "ModeGrid",
     "Observable",
     "OracleReport",
-    "Regime",
-    "RegimeKind",
     "ReservoirParams",
     "SweepConfig",
     "SweepOutput",
-    "adabi_bound",
     "apply_memory_decay",
-    "asymptotic_amplitude",
     "bell_diagonal_initial",
     "bell_diagonal_r_vector",
-    "berta_bound",
     "binary_entropy",
     "bounds_record",
     "build_mode_grid",
-    "classify_regime",
     "closed_form_report",
     "complementarity",
-    "conditional_entropy",
     "decay_amplitude",
     "discrepancy_report",
     "discrete_mode_oracle",
@@ -115,11 +93,8 @@ __all__ = [
     "evolved_max_entangled",
     "figure_preset",
     "format_config",
-    "holevo",
     "kernel_ode_oracle",
     "max_entangled_initial",
-    "measure",
-    "mutual_information",
     "oracle_report",
     "parse_config",
     "partial_trace",
@@ -129,7 +104,6 @@ __all__ = [
     "run_sweep",
     "spectral_density",
     "tensor_product",
-    "uncertainty_left",
     "validate_density_matrix",
     "von_neumann_entropy",
 ]

@@ -96,76 +96,6 @@ def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     return s_b - np.sum(np.where(live, h + p * np.log2(np.where(live, p, 1.0)), 0.0), axis=-1)
 
 
-@dataclass
-class MeasurementResult:
-    """Outcome probabilities and the memory states conditioned on each outcome."""
-
-    probabilities: np.ndarray
-    conditional_memory_states: list[np.ndarray]
-    zero_probability: tuple[bool, bool]
-
-
-def measure(rho: np.ndarray, obs: Observable) -> MeasurementResult:
-    """Measure obs on A; zero-probability outcomes yield I/2 with a flag set.
-
-    For a (..., 4, 4) stack every field gains the stack axes.
-    """
-    p, sigma = _branches(np.asarray(rho, dtype=complex), obs)
-    zero = p <= ZERO_PROBABILITY_TOL
-    conds = np.where(
-        zero[..., None, None], IDENTITY_2 / 2.0, sigma / np.where(zero, 1.0, p)[..., None, None]
-    )
-    return MeasurementResult(
-        probabilities=np.where(zero, 0.0, p),
-        conditional_memory_states=[conds[..., 0, :, :], conds[..., 1, :, :]],
-        zero_probability=(zero[..., 0], zero[..., 1]),
-    )
-
-
-def holevo(rho: np.ndarray, obs: Observable) -> float | np.ndarray:
-    """Accessible information S(rho_B) - sum_i p_i S(rho_B|i) of the memory about obs.
-
-    Zero-probability outcomes contribute 0 to the sum.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    p, sigma = _branches(rho, obs)
-    return _holevo(von_neumann_entropy(partial_trace(rho, "B")), p, von_neumann_entropy(sigma))
-
-
-def mutual_information(rho: np.ndarray) -> float | np.ndarray:
-    """I(A;B) = S(A) + S(B) - S(AB) in bits."""
-    rho = np.asarray(rho, dtype=complex)
-    return (
-        von_neumann_entropy(partial_trace(rho, "A"))
-        + von_neumann_entropy(partial_trace(rho, "B"))
-        - von_neumann_entropy(rho)
-    )
-
-
-def conditional_entropy(rho: np.ndarray) -> float | np.ndarray:
-    """S(A|B) = S(AB) - S(B); negative for sufficiently entangled states."""
-    rho = np.asarray(rho, dtype=complex)
-    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, "B"))
-
-
-def uncertainty_left(rho: np.ndarray, q: Observable, r: Observable) -> float | np.ndarray:
-    """S(Q|B) + S(R|B), each term S(post-measurement state) - S(rho_B)."""
-    return bounds_record(rho, q, r).u_left
-
-
-def berta_bound(rho: np.ndarray, q: Observable, r: Observable) -> float | np.ndarray:
-    """log2(1/c) + S(A|B)."""
-    return bounds_record(rho, q, r).berta
-
-
-def adabi_bound(
-    rho: np.ndarray, q: Observable, r: Observable
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Tightened bound berta + max(0, delta); returns (bound, delta)."""
-    rec = bounds_record(rho, q, r)
-    return rec.adabi, rec.delta
-
-
 @dataclass(frozen=True)
 class BoundsRecord:
     """Full information ledger for one time point of a sweep (all values in bits).
@@ -196,8 +126,7 @@ def bounds_record(
     """Compute every BoundsRecord field, sharing the spectral decompositions.
 
     rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude broadcast
-    against the stack axes.  uncertainty_left, berta_bound and adabi_bound
-    return fields of this record.
+    against the stack axes.
     """
     rho = np.asarray(rho, dtype=complex)
     p_q, sigma_q = _branches(rho, q)

@@ -11,7 +11,8 @@ closed form
     D = sqrt(lambda^2 - 2 N gamma0 lambda),
 
 which saturates at (N - 1)/N.  D is imaginary below the critical coupling
-lambda = 2 N gamma0; decay_amplitude evaluates one cancellation-free
+lambda = 2 N gamma0, where C(t) oscillates; at and above it C(t) decays
+monotonically.  decay_amplitude evaluates one cancellation-free
 rewrite of the formula for every coupling.  Two independent numerical
 routes validate it: an exact local ODE reformulation of the memory-kernel
 dynamics, and a brute-force simulation with explicitly discretized
@@ -24,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -76,30 +76,6 @@ class ReservoirParams:
         if not _is_int(self.n_qubits) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be an integer >= 1, got {self.n_qubits}")
 
-    @property
-    def bath_correlation_time(self) -> float:
-        return 1.0 / self.lambda_
-
-    @property
-    def system_relaxation_time(self) -> float:
-        return 1.0 / self.gamma0
-
-    @property
-    def coupling_ratio(self) -> float:
-        """gamma0 / lambda; weak coupling (Markovian) iff <= 1/2."""
-        return self.gamma0 / self.lambda_
-
-
-class RegimeKind(Enum):
-    MARKOVIAN = "markovian"
-    NON_MARKOVIAN = "non_markovian"
-
-
-@dataclass(frozen=True)
-class Regime:
-    kind: RegimeKind
-    ratio: float  # gamma0 / lambda
-
 
 @dataclass
 class AmplitudeTrajectory:
@@ -108,6 +84,7 @@ class AmplitudeTrajectory:
     times: np.ndarray
     amplitudes: np.ndarray
     window_warning: bool = False
+    recurrence_warning: bool = False
     max_norm_error: float | None = None
 
 
@@ -123,13 +100,6 @@ class ModeGrid:
     window: float
     frequencies: np.ndarray = field(repr=False)
     couplings: np.ndarray = field(repr=False)
-
-
-def classify_regime(params: ReservoirParams) -> Regime:
-    """Markovian iff gamma0/lambda <= 1/2 (boundary counts as Markovian)."""
-    ratio = params.coupling_ratio
-    kind = RegimeKind.MARKOVIAN if ratio <= 0.5 else RegimeKind.NON_MARKOVIAN
-    return Regime(kind=kind, ratio=ratio)
 
 
 def spectral_density(params: ReservoirParams, frequency) -> np.ndarray:
@@ -164,23 +134,6 @@ def decay_amplitude(params: ReservoirParams, t):
     if c.ndim == 0:
         return float(c)
     return c
-
-
-def asymptotic_amplitude(params: ReservoirParams) -> float:
-    """Long-time limit (N-1)/N; only meaningful in the Markovian regime.
-
-    In the non-Markovian regime the amplitude oscillates around the same
-    envelope limit, so a finite-time asymptote is ill-defined and this
-    raises instead of answering.
-    """
-    regime = classify_regime(params)
-    if regime.kind is not RegimeKind.MARKOVIAN:
-        raise ValueError(
-            f"asymptotic amplitude undefined in the non-Markovian regime "
-            f"(gamma0/lambda = {regime.ratio:.4g} > 1/2)"
-        )
-    n = params.n_qubits
-    return (n - 1.0) / n
 
 
 def _validate_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -297,8 +250,10 @@ def discrete_mode_oracle(
     h <= 2 / ||H|| with the arrow-matrix bound ||H|| <= max|f| + sqrt(N) ||g||;
     max_step, if given, caps h further.  Converges to the closed form as
     n_modes and window grow; a window narrower than 10 * lambda sets a
-    warning flag on the trajectory.  N is at most 10^6, checked before the
-    amplitude vector is allocated.
+    warning flag on the trajectory, and so does a grid reaching the
+    recurrence time pi * n_modes / window (2 pi over the mode spacing),
+    after which the discretized reservoir returns its excitation.  N is at
+    most 10^6, checked before the amplitude vector is allocated.
     """
     grid = _validate_grid(t_grid)
     n = params.n_qubits
@@ -339,5 +294,6 @@ def discrete_mode_oracle(
         times=params.gamma0 * grid,
         amplitudes=amps,
         window_warning=mode_grid.window < 10.0 * params.lambda_,
+        recurrence_warning=float(grid[-1]) >= math.pi * mode_grid.n_modes / mode_grid.window,
         max_norm_error=max_norm_error,
     )

@@ -276,6 +276,7 @@ class OracleReport:
     discrete: list[OracleDeviation] = field(default_factory=list)
     discrete_max_norm_error: float | None = None
     discrete_window_warning: bool = False  # discretized window narrower than 10 lambda
+    discrete_recurrence_warning: bool = False  # grid reaches pi * n_modes / window
 
     @property
     def passed(self) -> bool:
@@ -304,6 +305,11 @@ class OracleReport:
                 "  warning: discrete-mode window is narrower than 10 lambda; "
                 "the deviation includes the truncated reservoir"
             )
+        if self.discrete_recurrence_warning:
+            lines.append(
+                "  warning: grid reaches the discrete-mode recurrence time pi * modes / window; "
+                "the deviation includes the returning excitation"
+            )
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -321,7 +327,7 @@ def oracle_report(
     kernel_rows = []
     discrete_rows = []
     max_norm_err: float | None = None
-    window_warning = False
+    window_warning = recurrence_warning = False
     for n in sorted(config.n_qubits_list):
         params = ReservoirParams(gamma0=1.0, lambda_=config.lambda_over_gamma0, n_qubits=n)
         closed = decay_amplitude(params, times)
@@ -346,10 +352,12 @@ def oracle_report(
             err = traj.max_norm_error or 0.0
             max_norm_err = err if max_norm_err is None else max(max_norm_err, err)
             window_warning = window_warning or traj.window_warning
+            recurrence_warning = recurrence_warning or traj.recurrence_warning
     return OracleReport(
         config=config,
         kernel=kernel_rows,
         discrete=discrete_rows,
         discrete_max_norm_error=max_norm_err,
         discrete_window_warning=window_warning,
+        discrete_recurrence_warning=recurrence_warning,
     )

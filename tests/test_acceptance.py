@@ -13,7 +13,7 @@ import numpy as np
 
 from conftest import random_density_matrix
 from eulb.audit import closed_form_report, discrepancy_report, evolved_max_entangled
-from eulb.bounds import adabi_bound, berta_bound, bounds_record, pauli_x, pauli_z, uncertainty_left
+from eulb.bounds import bounds_record, pauli_x, pauli_z
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.cli import main
 from eulb.linalg import binary_entropy
@@ -64,13 +64,8 @@ def test_criterion_02_discrete_mode_oracle():
 
 def test_criterion_03_max_entangled_start_is_exact():
     failures = []
-    rho = max_entangled_initial()
-    x, z = pauli_x(), pauli_z()
-    values = {
-        "u_left": uncertainty_left(rho, x, z),
-        "berta": berta_bound(rho, x, z),
-        "adabi": adabi_bound(rho, x, z)[0],
-    }
+    rec = bounds_record(max_entangled_initial(), pauli_x(), pauli_z())
+    values = {"u_left": rec.u_left, "berta": rec.berta, "adabi": rec.adabi}
     for name, value in values.items():
         if abs(value) > 1e-9:
             failures.append(f"{name} = {value:.3e} not within 1e-9 of 0")

@@ -7,23 +7,16 @@ import numpy as np
 import pytest
 
 import eulb.audit as audit_mod
-from conftest import random_density_matrix, random_observable_pair, random_unitary
+from conftest import random_density_matrix, random_observable_pair
 from eulb.audit import closed_form_report
 from eulb.bounds import (
     BoundsRecord,
     Observable,
-    adabi_bound,
-    berta_bound,
     bounds_record,
     complementarity,
-    conditional_entropy,
-    holevo,
-    measure,
-    mutual_information,
     pauli_x,
     pauli_z,
     post_measurement_state,
-    uncertainty_left,
 )
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.linalg import (
@@ -31,7 +24,6 @@ from eulb.linalg import (
     binary_entropy,
     partial_trace,
     tensor_product,
-    validate_density_matrix,
     von_neumann_entropy,
 )
 
@@ -109,56 +101,18 @@ class TestPostMeasurement:
                 assert np.max(dev) <= 1e-12
 
 
-class TestMeasure:
-    def test_sigma_z_on_max_entangled(self):
-        result = measure(max_entangled_initial(), pauli_z())
-        assert np.max(np.abs(result.probabilities - 0.5)) < 1e-15
-        assert np.max(np.abs(result.conditional_memory_states[0] - np.diag([1.0, 0.0]))) < 1e-12
-        assert np.max(np.abs(result.conditional_memory_states[1] - np.diag([0.0, 1.0]))) < 1e-12
-
-    def test_sigma_x_on_bell_diagonal_is_uninformative(self):
-        result = measure(bell_diagonal_initial(0.5), pauli_x())
-        assert np.max(np.abs(result.probabilities - 0.5)) < 1e-15
-        for cond in result.conditional_memory_states:
-            assert np.max(np.abs(cond - IDENTITY_2 / 2)) < 1e-12
-
-    def test_sigma_z_on_bell_diagonal_conditionals(self):
-        result = measure(bell_diagonal_initial(0.5), pauli_z())
-        assert np.max(np.abs(result.conditional_memory_states[0] - np.diag([0.25, 0.75]))) < 1e-12
-        assert np.max(np.abs(result.conditional_memory_states[1] - np.diag([0.75, 0.25]))) < 1e-12
-
-    def test_zero_probability_outcome_flagged(self):
-        rho = tensor_product(np.diag([0.0, 1.0]), IDENTITY_2 / 2)
-        result = measure(rho, pauli_z())
-        assert result.zero_probability == (True, False)
-        assert result.probabilities[0] == 0.0
-        assert np.array_equal(result.conditional_memory_states[0], IDENTITY_2 / 2)
-
-    def test_probabilities_sum_to_one_and_conditionals_valid(self, rng):
-        states = np.array([random_density_matrix(rng, 4) for _ in range(100)])
-        for rho in states:
-            result = measure(rho, pauli_x())
-            assert abs(result.probabilities.sum() - 1.0) < 1e-10
-            for cond in result.conditional_memory_states:
-                validate_density_matrix(cond)
-        batch = measure(states, pauli_x())
-        for i, rho in enumerate(states):
-            single = measure(rho, pauli_x())
-            assert np.max(np.abs(batch.probabilities[i] - single.probabilities)) <= 1e-15
-            pairs = zip(batch.conditional_memory_states, single.conditional_memory_states)
-            for cond_b, cond_s in pairs:
-                assert np.max(np.abs(cond_b[i] - cond_s)) <= 1e-15
-
-
 class TestHolevo:
+    # holevo_q is the information about pauli_x, holevo_r about pauli_z
     def test_perfect_classical_correlation(self):
-        assert abs(holevo(max_entangled_initial(), pauli_z()) - 1.0) < 1e-12
+        rec = bounds_record(max_entangled_initial(), pauli_x(), pauli_z())
+        assert abs(rec.holevo_r - 1.0) < 1e-12
 
     def test_uninformative_measurement(self):
-        assert abs(holevo(bell_diagonal_initial(0.5), pauli_x())) < 1e-12
+        rec = bounds_record(bell_diagonal_initial(0.5), pauli_x(), pauli_z())
+        assert abs(rec.holevo_q) < 1e-12
 
     def test_bell_diagonal_sigma_z(self):
-        value = holevo(bell_diagonal_initial(0.5), pauli_z())
+        value = bounds_record(bell_diagonal_initial(0.5), pauli_x(), pauli_z()).holevo_r
         assert abs(value - HOLEVO_Z_BELL) < 1e-12
         assert abs(value - 0.188722) < 1e-6
 
@@ -166,87 +120,80 @@ class TestHolevo:
         # A fixed in |1>: the sigma_z outcome 0 never occurs, and the memory
         # carries no information at all
         rho = tensor_product(np.diag([0.0, 1.0]), IDENTITY_2 / 2)
-        assert abs(holevo(rho, pauli_z())) < 1e-12
+        assert abs(bounds_record(rho, pauli_x(), pauli_z()).holevo_r) < 1e-12
 
     def test_range_on_random_states(self, rng):
         states = np.array([random_density_matrix(rng, 4) for _ in range(200)])
-        for obs in (pauli_x(), pauli_z()):
-            batch = holevo(states, obs)
-            for rho, from_stack in zip(states, batch):
-                value = holevo(rho, obs)
+        x, z = pauli_x(), pauli_z()
+        batch = bounds_record(states, x, z)
+        for i, rho in enumerate(states):
+            single = bounds_record(rho, x, z)
+            for name in ("holevo_q", "holevo_r"):
+                value = getattr(single, name)
                 assert -1e-9 <= value <= 1.0 + 1e-9
-                assert abs(from_stack - value) <= 1e-12
+                assert abs(getattr(batch, name)[i] - value) <= 1e-12
 
 
 class TestInformationMeasures:
     def test_product_state_has_no_mutual_information(self, rng):
         rho = tensor_product(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-        assert abs(mutual_information(rho)) < 1e-9
+        assert abs(bounds_record(rho, pauli_x(), pauli_z()).mutual_info) < 1e-9
 
     def test_max_entangled_values(self):
-        rho = max_entangled_initial()
-        assert abs(mutual_information(rho) - 2.0) < 1e-12
-        assert abs(conditional_entropy(rho) + 1.0) < 1e-12
+        rec = bounds_record(max_entangled_initial(), pauli_x(), pauli_z())
+        assert abs(rec.mutual_info - 2.0) < 1e-12
+        assert abs(rec.cond_entropy + 1.0) < 1e-12
 
     def test_bell_diagonal_values(self):
-        rho = bell_diagonal_initial(0.5)
-        assert abs(mutual_information(rho) - 0.5) < 1e-12
-        assert abs(conditional_entropy(rho) - 0.5) < 1e-12
+        rec = bounds_record(bell_diagonal_initial(0.5), pauli_x(), pauli_z())
+        assert abs(rec.mutual_info - 0.5) < 1e-12
+        assert abs(rec.cond_entropy - 0.5) < 1e-12
 
     def test_maximally_mixed_conditional_entropy(self):
-        assert abs(conditional_entropy(np.eye(4, dtype=complex) / 4) - 1.0) < 1e-12
+        rec = bounds_record(np.eye(4, dtype=complex) / 4, pauli_x(), pauli_z())
+        assert abs(rec.cond_entropy - 1.0) < 1e-12
 
     def test_mutual_information_nonnegative(self, rng):
         for _ in range(200):
             rho = random_density_matrix(rng, 4)
-            mi = mutual_information(rho)
+            mi = bounds_record(rho, pauli_x(), pauli_z()).mutual_info
             assert -1e-9 <= mi <= 2.0 + 1e-9
 
 
 class TestBounds:
     def test_max_entangled_start(self):
-        rho = max_entangled_initial()
-        x, z = pauli_x(), pauli_z()
-        assert abs(uncertainty_left(rho, x, z)) < 1e-9
-        assert abs(berta_bound(rho, x, z)) < 1e-9
-        bound, delta = adabi_bound(rho, x, z)
-        assert abs(bound) < 1e-9
-        assert abs(delta) < 1e-9
+        rec = bounds_record(max_entangled_initial(), pauli_x(), pauli_z())
+        assert abs(rec.u_left) < 1e-9
+        assert abs(rec.berta) < 1e-9
+        assert abs(rec.adabi) < 1e-9
+        assert abs(rec.delta) < 1e-9
 
     def test_bell_diagonal_start(self):
-        rho = bell_diagonal_initial(0.5)
-        x, z = pauli_x(), pauli_z()
-        assert abs(uncertainty_left(rho, x, z) - U_LEFT_BELL) < 1e-12
-        assert abs(berta_bound(rho, x, z) - 1.5) < 1e-12
-        bound, delta = adabi_bound(rho, x, z)
-        assert abs(bound - U_LEFT_BELL) < 1e-12
-        assert abs(delta - DELTA_BELL) < 1e-12
+        rec = bounds_record(bell_diagonal_initial(0.5), pauli_x(), pauli_z())
+        assert abs(rec.u_left - U_LEFT_BELL) < 1e-12
+        assert abs(rec.berta - 1.5) < 1e-12
+        assert abs(rec.adabi - U_LEFT_BELL) < 1e-12
+        assert abs(rec.delta - DELTA_BELL) < 1e-12
 
     def test_fully_decayed_max_entangled(self):
-        rho = apply_memory_decay(max_entangled_initial(), 0.0)
-        x, z = pauli_x(), pauli_z()
-        assert abs(uncertainty_left(rho, x, z) - 2.0) < 1e-9
-        assert abs(berta_bound(rho, x, z) - 2.0) < 1e-9
-        bound, _ = adabi_bound(rho, x, z)
-        assert abs(bound - 2.0) < 1e-9
+        rec = bounds_record(apply_memory_decay(max_entangled_initial(), 0.0), pauli_x(), pauli_z())
+        assert abs(rec.u_left - 2.0) < 1e-9
+        assert abs(rec.berta - 2.0) < 1e-9
+        assert abs(rec.adabi - 2.0) < 1e-9
 
     def test_product_state_delta_vanishes(self, rng):
         rho = tensor_product(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-        x, z = pauli_x(), pauli_z()
-        bound, delta = adabi_bound(rho, x, z)
-        assert abs(delta) < 1e-9
-        assert abs(bound - berta_bound(rho, x, z)) < 1e-9
+        rec = bounds_record(rho, pauli_x(), pauli_z())
+        assert abs(rec.delta) < 1e-9
+        assert abs(rec.adabi - rec.berta) < 1e-9
 
     def test_inequality_chain_random_states(self, rng):
         x, z = pauli_x(), pauli_z()
         for _ in range(300):
-            rho = random_density_matrix(rng, 4)
-            u = uncertainty_left(rho, x, z)
-            bound, delta = adabi_bound(rho, x, z)
-            berta = berta_bound(rho, x, z)
-            assert u >= bound - 1e-9
-            assert bound >= berta - 1e-9
-            assert abs(bound - (berta + max(0.0, delta))) <= 1e-12
+            rec = bounds_record(random_density_matrix(rng, 4), x, z)
+            assert rec.u_left >= rec.adabi - 1e-9
+            assert rec.adabi >= rec.berta - 1e-9
+            assert abs(rec.adabi - (rec.berta + max(0.0, rec.delta))) <= 1e-12
 
     def test_evolved_family_joint_entropy(self):
         for c in np.linspace(0, 1, 41):
@@ -254,35 +201,8 @@ class TestBounds:
             expected = binary_entropy((1.0 - c * c) / 2.0)
             assert abs(von_neumann_entropy(rho) - expected) <= 1e-9
 
-    def test_local_unitary_on_memory_preserves_probabilities(self, rng):
-        x, z = pauli_x(), pauli_z()
-        for _ in range(50):
-            rho = random_density_matrix(rng, 4)
-            u = tensor_product(IDENTITY_2, random_unitary(rng, 2))
-            rotated = u @ rho @ u.conj().T
-            for obs in (x, z):
-                before = measure(rho, obs).probabilities
-                after = measure(rotated, obs).probabilities
-                assert np.max(np.abs(before - after)) <= 1e-12
-
 
 class TestBoundsRecord:
-    def test_matches_individual_operations(self, rng):
-        x, z = pauli_x(), pauli_z()
-        for _ in range(50):
-            rho = random_density_matrix(rng, 4)
-            rec = bounds_record(rho, x, z, t=1.5, amplitude=0.7)
-            bound, delta = adabi_bound(rho, x, z)
-            assert rec.t == 1.5 and rec.amplitude == 0.7
-            assert abs(rec.u_left - uncertainty_left(rho, x, z)) < 1e-12
-            assert abs(rec.berta - berta_bound(rho, x, z)) < 1e-12
-            assert abs(rec.adabi - bound) < 1e-12
-            assert abs(rec.delta - delta) < 1e-12
-            assert abs(rec.holevo_q - holevo(rho, x)) < 1e-12
-            assert abs(rec.holevo_r - holevo(rho, z)) < 1e-12
-            assert abs(rec.mutual_info - mutual_information(rho)) < 1e-12
-            assert abs(rec.cond_entropy - conditional_entropy(rho)) < 1e-12
-
     def test_stack_equals_single_calls(self, rng):
         for _ in range(10):
             q, r = random_observable_pair(rng)
@@ -303,6 +223,8 @@ class TestBoundsRecord:
         for name in (f.name for f in dataclasses.fields(BoundsRecord)):
             assert getattr(rec, name).shape == (3, 2), name
         assert np.all(rec.t == 0.25) and np.all(rec.amplitude == 0.5)
+        single = bounds_record(stack[0, 0], pauli_x(), pauli_z(), t=1.5, amplitude=0.7)
+        assert single.t == 1.5 and single.amplitude == 0.7
 
 
 class TestClosedForms:

@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from eulb.reservoir import (
-    RegimeKind,
     ReservoirParams,
-    asymptotic_amplitude,
     build_mode_grid,
-    classify_regime,
     decay_amplitude,
     discrete_mode_oracle,
     kernel_ode_oracle,
@@ -58,29 +55,7 @@ class TestParams:
 
     def test_accepts_numpy_float_rates(self):
         params = ReservoirParams(np.float32(0.5), np.float32(0.5), 1)
-        assert params.coupling_ratio == 1.0
-
-    def test_timescales(self):
-        p = ReservoirParams(2.0, 8.0, 3)
-        assert p.bath_correlation_time == 0.125
-        assert p.system_relaxation_time == 0.5
-        assert p.coupling_ratio == 0.25
-
-
-class TestRegime:
-    def test_strong_coupling(self):
-        regime = classify_regime(ReservoirParams(1.0, 0.1, 1))
-        assert regime.kind is RegimeKind.NON_MARKOVIAN
-        assert regime.ratio == 10.0
-
-    def test_weak_coupling(self):
-        regime = classify_regime(ReservoirParams(1.0, 40.0, 1))
-        assert regime.kind is RegimeKind.MARKOVIAN
-
-    def test_boundary_is_markovian(self):
-        regime = classify_regime(ReservoirParams(1.0, 2.0, 1))
-        assert regime.kind is RegimeKind.MARKOVIAN
-        assert regime.ratio == 0.5
+        assert params.gamma0 / params.lambda_ == 1.0
 
 
 class TestDecayAmplitude:
@@ -113,10 +88,20 @@ class TestDecayAmplitude:
                 assert np.max(np.abs(c)) <= 1.0 + 1e-9
 
     def test_markovian_real_branch_monotone(self):
+        # monotone at and above the critical coupling lambda = 2N (D = 0 there)
         t = np.linspace(0.0, 30.0, 3001)
         for n in (1, 2, 5, 10):
-            c = decay_amplitude(ReservoirParams(1.0, 40.0, n), t)
-            assert np.all(np.diff(c) <= 1e-9)
+            for lam in (40.0, 2.0 * n):
+                c = decay_amplitude(ReservoirParams(1.0, lam, n), t)
+                assert np.all(np.diff(c) <= 1e-9), (lam, n)
+
+    def test_oscillates_below_critical_coupling(self):
+        # lambda = 2 < 2N: C(t) rises again after each oscillation minimum;
+        # the threshold moves with N, so gamma0 / lambda = 1/2 alone decides nothing
+        t = np.linspace(0.0, 30.0, 3001)
+        for n in (2, 5, 10):
+            c = decay_amplitude(ReservoirParams(1.0, 2.0, n), t)
+            assert np.max(np.diff(c)) > 1e-6, n
 
     def test_saturates_at_protected_level(self):
         for n in (2, 5, 10):
@@ -174,17 +159,6 @@ class TestDecayAmplitude:
         # NaN used to come back as NaN, and inf as (N-1)/N or NaN by regime
         with pytest.raises(ValueError, match="finite t >= 0"):
             decay_amplitude(ReservoirParams(1.0, lam, 2), bad)
-
-
-class TestAsymptoticAmplitude:
-    def test_values(self):
-        assert asymptotic_amplitude(ReservoirParams(1.0, 40.0, 1)) == 0.0
-        assert asymptotic_amplitude(ReservoirParams(1.0, 40.0, 4)) == 0.75
-        assert asymptotic_amplitude(ReservoirParams(1.0, 40.0, 10)) == 0.9
-
-    def test_rejected_in_non_markovian_regime(self):
-        with pytest.raises(ValueError, match="non-Markovian"):
-            asymptotic_amplitude(ReservoirParams(1.0, 0.1, 4))
 
 
 class TestKernelOdeOracle:
@@ -330,6 +304,14 @@ class TestDiscreteModeOracle:
         grid = build_mode_grid(params, 50, 5.0)
         traj = discrete_mode_oracle(params, np.array([0.0, 0.1]), grid)
         assert traj.window_warning
+
+    def test_recurrence_time_sets_warning(self):
+        # mode spacing 2 * 20 / 100 = 0.4: the excitation returns at 2 pi / 0.4 = 5 pi
+        params = ReservoirParams(1.0, 1.0, 1)
+        grid = build_mode_grid(params, 100, 20.0)
+        assert discrete_mode_oracle(params, np.array([0.0, 5.0 * np.pi]), grid).recurrence_warning
+        before = discrete_mode_oracle(params, np.array([0.0, 15.0]), grid)
+        assert not before.recurrence_warning and not before.window_warning
 
 
 def _exact_amplitudes(params, t, mode_grid):

@@ -396,6 +396,24 @@ class TestOracleReport:
         assert "narrower than 10 lambda" in lines[-2] and not lines[-2].endswith("FAIL")
         assert lines[-1] == "result: " + ("PASS" if narrow.passed else "FAIL")
 
+    def test_recurrence_reported(self):
+        # 100 modes over a window of 20 lambda recur at pi * 100 / 20 = 15.7
+        cfg = SweepConfig(
+            state="max_entangled",
+            lambda_over_gamma0=1.0,
+            n_qubits_list=(1, 2),
+            t_max_gamma0=16.0,
+            steps=5,
+        )
+        late = oracle_report(cfg, include_discrete=True, n_modes=100)
+        early_cfg = dataclasses.replace(cfg, t_max_gamma0=15.0)
+        early = oracle_report(early_cfg, include_discrete=True, n_modes=100)
+        assert not early.discrete_recurrence_warning and "warning" not in early.render()
+        assert late.discrete_recurrence_warning and not late.discrete_window_warning
+        lines = late.render().splitlines()
+        assert "recurrence time" in lines[-2]
+        assert lines[-1] == "result: " + ("PASS" if late.passed else "FAIL")
+
     def test_tolerance_failure_detected(self, monkeypatch):
         monkeypatch.setattr(sweep_mod, "KERNEL_ORACLE_TOL", 1e-30)
         cfg = SweepConfig(
