@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, partial_trace, tensor_product, von_neumann_entropy
+from .linalg import IDENTITY_2, entropy_from_eigenvalues, tensor_product, von_neumann_entropy
 
 ZERO_PROBABILITY_TOL = 1e-12
 
@@ -80,12 +80,25 @@ def post_measurement_state(rho: np.ndarray, obs: Observable) -> np.ndarray:
     return out
 
 
-def _branches(rho: np.ndarray, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Measure obs on A: outcome probabilities p_i = Tr sigma_i, shape (..., 2), and
-    the unnormalised memory states sigma_i = <q_i|rho|q_i>, shape (..., 2, 2, 2)."""
-    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # [..., a, b, a', b']
-    sigma = np.einsum("ia,...abcd,ic->...ibd", obs.kets.conj(), r, obs.kets)
-    return np.einsum("...ibb->...i", sigma).real, sigma
+def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies of rho_A, rho_B and the unnormalised memory branches <k|rho|k>
+    for the four kets k, shape (..., 6), and the outcome probabilities
+    Tr <k|rho|k>, shape (..., 4), from one contraction and one 2x2 solve."""
+    stack = rho.shape[:-2]
+    # rho viewed as [..., (a, c), (b, d)], so that one weight row over (a, c)
+    # contracts qubit A away: the identity gives rho_B, and conj(k_a) k_c
+    # gives the branch <k|rho|k>.
+    blocks = rho.reshape(stack + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(stack + (4, 4))
+    weights = np.empty((5, 2, 2), dtype=rho.dtype)
+    weights[0] = ((1, 0), (0, 1))  # not np.eye: its ~5 kB transient set a single call's peak
+    weights[1:] = kets.conj()[:, :, None] * kets[:, None, :]
+    reduced = np.empty(stack + (6, 4), dtype=rho.dtype)  # rho_A, rho_B, then the branches
+    np.einsum("jm,...mx->...jx", weights.reshape(5, 4), blocks, out=reduced[..., 1:, :])
+    reduced[..., 0, :] = blocks[..., :, 0] + blocks[..., :, 3]  # rho_A: the b = d = 0, 1 slices
+    # The post-measurement state is block diagonal in the measured basis, so
+    # its entropy is the sum of its branches' entropies.
+    s = entropy_from_eigenvalues(np.linalg.eigvalsh(reduced.reshape(stack + (6, 2, 2))))
+    return s, (reduced[..., 2:, 0] + reduced[..., 2:, 3]).real
 
 
 def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -128,16 +141,21 @@ def bounds_record(
     rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude broadcast
     against the stack axes.
     """
-    rho = np.asarray(rho, dtype=complex)
-    p_q, sigma_q = _branches(rho, q)
-    p_r, sigma_r = _branches(rho, r)
-    # One batched 2x2 solve gives S(A), S(B) and the branch entropies.  The
-    # post-measurement state is block diagonal in the measured basis, so
-    # its entropy is the sum of its branches' entropies.
-    marginals = np.stack([partial_trace(rho, "A"), partial_trace(rho, "B")], axis=-3)
-    s = von_neumann_entropy(np.concatenate([marginals, sigma_q, sigma_r], axis=-3))
-    s_a, s_b, h_q, h_r = s[..., 0], s[..., 1], s[..., 2:4], s[..., 4:6]
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"bounds_record expects a 4x4 state or a stack of them, got {rho.shape}")
+    kets = np.concatenate([q.kets, r.kets])  # the kets of q, then of r
+    if kets.imag.any() or (np.iscomplexobj(rho) and rho.imag.any()):
+        rho = rho.astype(complex, copy=False)
+    else:  # true of both reference families: the ledger runs in real arithmetic
+        rho, kets = rho.real.astype(float, copy=False), kets.real
+    # The call's one Hermiticity check.  The six 2x2 blocks that
+    # _reduced_spectra solves are partial traces and compressions of rho,
+    # so they are Hermitian with it.
     s_ab = von_neumann_entropy(rho)
+    s, p = _reduced_spectra(rho, kets)
+    s_a, s_b, h_q, h_r = s[..., 0], s[..., 1], s[..., 2:4], s[..., 4:6]
+    p_q, p_r = p[..., :2], p[..., 2:]
     hol_q = _holevo(s_b, p_q, h_q)
     hol_r = _holevo(s_b, p_r, h_r)
     mi = s_a + s_b - s_ab

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for 2x2 and 4x4 Hermitian matrices.
+"""Dense linear algebra for 2x2 and 4x4 Hermitian matrices.
 
 States are plain ``numpy`` arrays.  Two-qubit matrices use the A-major
 basis ordering |00>, |01>, |10>, |11> (flat index = 2a + b) throughout
@@ -7,7 +7,9 @@ the package.  All entropies are in bits (base-2 logarithms).
 Every function accepts one matrix or a stack of shape (..., n, n), such
 as one state per time point, and works on the whole stack through the
 same code: checks run once over the stack, and results gain the leading
-stack axes.
+stack axes.  The Hermiticity check and the spectra keep a real input real
+(LAPACK's real symmetric solver) and solve a complex one in complex
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,9 +26,15 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _inexact(m) -> np.ndarray:
+    """m as a float64 array, or complex128 when its dtype is complex."""
+    m = np.asarray(m)
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of m, or of any member of a stack, from its adjoint."""
-    m = np.asarray(m, dtype=complex)
+    m = _inexact(m)
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
@@ -78,7 +86,7 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
 
 def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 2x2 or 4x4 Hermitian matrix, sorted descending (LAPACK eigvalsh)."""
-    m = np.asarray(m, dtype=complex)
+    m = _inexact(m)
     if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)

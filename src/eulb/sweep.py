@@ -41,7 +41,7 @@ _STATES = ("max_entangled", "bell_diagonal")
 _MAX_SWEEP_ROWS = 500_000
 
 CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_info,cond_entropy"
-_ROW_FORMAT = "%d," + ",".join(["%.12g"] * 10)  # n, then the BoundsRecord fields in order
+_FIELDS_FORMAT = ",".join(["%.12g"] * 10)  # the BoundsRecord fields in order
 
 
 class ConfigError(ValueError):
@@ -231,7 +231,11 @@ def render_csv(output: SweepOutput) -> str:
     for n, ledger in output.ledgers.items():
         # + 0.0 writes -0.0 as 0
         columns = np.column_stack([getattr(ledger, f.name) for f in fields(ledger)]) + 0.0
-        lines += [_ROW_FORMAT % (n, *row) for row in columns.tolist()]
+        # One % over this N's whole block.  Its format string stays a
+        # temporary: bound to a name, it would outlive the block and raise
+        # the render's peak by its size (~0.13 MB for 2001 rows).
+        row_format = f"{n}," + _FIELDS_FORMAT
+        lines.append("\n".join([row_format] * len(columns)) % tuple(columns.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

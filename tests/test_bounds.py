@@ -21,11 +21,14 @@ from eulb.bounds import (
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.linalg import (
     IDENTITY_2,
+    PAULI_X,
     binary_entropy,
     partial_trace,
     tensor_product,
     von_neumann_entropy,
 )
+from eulb.reservoir import ReservoirParams, decay_amplitude
+from eulb.sweep import figure_preset
 
 # Exact algebraic values for the Bell-diagonal p = 1/2 state at full amplitude,
 # confirmed against a brute-force numpy-only route in the acceptance suite.
@@ -225,6 +228,95 @@ class TestBoundsRecord:
         assert np.all(rec.t == 0.25) and np.all(rec.amplitude == 0.5)
         single = bounds_record(stack[0, 0], pauli_x(), pauli_z(), t=1.5, amplitude=0.7)
         assert single.t == 1.5 and single.amplitude == 0.7
+
+
+def _preset_stack(fig: int, n: int) -> np.ndarray:
+    """The (steps, 4, 4) evolved states of one qubit count of a figure preset."""
+    config = figure_preset(fig)
+    params = ReservoirParams(gamma0=1.0, lambda_=config.lambda_over_gamma0, n_qubits=n)
+    amplitudes = decay_amplitude(params, np.linspace(0.0, config.t_max_gamma0, config.steps))
+    if config.state == "max_entangled":
+        initial = max_entangled_initial()
+    else:
+        initial = bell_diagonal_initial(config.p)
+    return apply_memory_decay(initial, amplitudes)
+
+
+def _assert_ledgers_agree(got: BoundsRecord, want: BoundsRecord, atol: float) -> None:
+    for name in (f.name for f in dataclasses.fields(BoundsRecord)):
+        dev = float(np.max(np.abs(getattr(got, name) - getattr(want, name))))
+        assert dev <= atol, (name, dev)
+
+
+class TestRealAndComplexPaths:
+    # The reference families and sigma_x, sigma_z are real, so their ledger
+    # runs in real arithmetic; these inputs reach the complex path with the
+    # same ledger.
+    @pytest.mark.parametrize("fig", [2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_memory_phase_leaves_ledger_unchanged(self, fig, n):
+        # I x diag(1, e^{i phi}) is a local unitary on B: it makes the
+        # stack complex and changes no entropy on either side.  The two
+        # routes differ most (~1e-14) in S(AB) near a vanishing eigenvalue.
+        phase = np.diag([1.0, np.exp(0.7j)])
+        u = tensor_product(IDENTITY_2, phase)
+        states = _preset_stack(fig, n)
+        rotated = u @ states @ u.conj().T
+        assert np.max(np.abs(rotated.imag)) > 0.01
+        x, z = pauli_x(), pauli_z()
+        _assert_ledgers_agree(bounds_record(rotated, x, z), bounds_record(states, x, z), 1e-14)
+
+    @pytest.mark.parametrize("fig", [2, 4])
+    def test_ket_phases_leave_ledger_unchanged(self, fig):
+        states = _preset_stack(fig, 2)
+        x, z = pauli_x(), pauli_z()
+        phases = np.exp(1j * np.array([[0.3], [-1.1]]))
+        x_phased = Observable("x", x.kets * phases)
+        z_phased = Observable("z", z.kets * phases[::-1])
+        assert x_phased.kets.imag.any() and z_phased.kets.imag.any()
+        _assert_ledgers_agree(
+            bounds_record(states, x_phased, z_phased), bounds_record(states, x, z), 1e-14
+        )
+
+    def test_arithmetic_follows_state_and_kets(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            seen.append(m.dtype)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        states = _preset_stack(4, 2)  # complex dtype, zero imaginary part
+        x, z = pauli_x(), pauli_z()
+        bounds_record(states, x, z)
+        assert seen and set(seen) == {np.dtype(float)}
+        seen.clear()
+        bounds_record(states, x, Observable("z", z.kets * 1j))
+        assert seen and set(seen) == {np.dtype(complex)}
+        seen.clear()
+        u = tensor_product(IDENTITY_2, np.diag([1.0, 1j]))
+        bounds_record(u @ states @ u.conj().T, x, z)
+        assert seen and set(seen) == {np.dtype(complex)}
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_non_hermitian_member_rejected(self, dtype):
+        stack = np.array([np.eye(4) / 4] * 5, dtype=dtype)
+        stack[3, 0, 2] = 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            bounds_record(stack, pauli_x(), pauli_z())
+
+    def test_complex_non_hermitian_member_rejected(self):
+        # Hermitian in the real part, anti-Hermitian in the imaginary part
+        stack = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        stack[1] += 1e-6j * tensor_product(PAULI_X, IDENTITY_2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            bounds_record(stack, pauli_x(), pauli_z())
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 4, 2), (4, 2)])
+    def test_non_4x4_rejected(self, shape):
+        with pytest.raises(ValueError, match="4x4"):
+            bounds_record(np.zeros(shape), pauli_x(), pauli_z())
 
 
 class TestClosedForms:

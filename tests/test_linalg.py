@@ -11,6 +11,7 @@ from eulb.linalg import (
     PAULI_X,
     binary_entropy,
     eigenvalues_hermitian,
+    hermiticity_defect,
     partial_trace,
     tensor_product,
     validate_density_matrix,
@@ -128,6 +129,24 @@ class TestEigenvalues:
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError, match="2x2 or 4x4"):
             eigenvalues_hermitian(np.eye(3))
+
+    def test_real_input_solved_in_real_arithmetic(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            seen.append(m.dtype)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        assert np.array_equal(eigenvalues_hermitian(np.array([[2, 1], [1, 2]])), [3.0, 1.0])
+        assert np.array_equal(eigenvalues_hermitian(PAULI_X), [1.0, -1.0])
+        assert seen == [np.dtype(float), np.dtype(complex)]
+
+    def test_hermiticity_defect_of_real_and_complex_input(self):
+        assert hermiticity_defect(np.array([[1, 2], [3, 4]])) == 1.0
+        assert hermiticity_defect(np.array([[1.0, 0.5j], [0.5j, 1.0]])) == 1.0
+        assert hermiticity_defect(np.array([[1.0, 0.5j], [-0.5j, 1.0]])) == 0.0
 
 
 class TestEntropy:
