@@ -1,4 +1,5 @@
-"""Write amplitude_mpmath.csv: the decay amplitude C(t) to 40 digits.
+"""Write amplitude_mpmath.csv: the decay amplitude C(t), evaluated at 40 digits
+and written to 20 significant digits (float64 needs 17).
 
 Each row is C(t) for gamma0 = 1 and one (lambda, N) pair, evaluated with
 mpmath from the float64 lambda and t that the test passes, so the only
@@ -26,6 +27,7 @@ import numpy as np
 
 OUT = Path(__file__).with_name("amplitude_mpmath.csv")
 DPS = 40
+DIGITS = 20
 N_VALUES = (1, 2, 5, 10)
 GRID = np.linspace(0.0, 20.0, 2001)
 EVERY = 50
@@ -61,8 +63,9 @@ def amplitude_by_expm(lam: mp.mpf, n: int, t: mp.mpf) -> mp.mpf:
 def main() -> None:
     mp.mp.dps = DPS
     lines = [
-        f"# C(t) for gamma0 = 1, mpmath {mp.__version__} at dps = {DPS}; lambda and t are",
-        "# float64 reprs taken exactly; written by tests/golden/capture_amplitude.py",
+        f"# C(t) for gamma0 = 1, mpmath {mp.__version__} at dps = {DPS}, written to {DIGITS} significant",
+        "# digits; lambda and t are float64 reprs taken exactly; written by",
+        "# tests/golden/capture_amplitude.py",
         "lambda,n_qubits,t,amplitude",
     ]
     for lam, n in pairs():
@@ -71,9 +74,9 @@ def main() -> None:
             check = amplitude_by_expm(mp.mpf(lam), n, mp.mpf(t))
             if abs(c - check) > mp.mpf(10) ** (-30):
                 raise RuntimeError(f"closed form and expm disagree at lambda={lam!r}, N={n}, t={t!r}")
-            lines.append(f"{lam!r},{n},{t!r},{mp.nstr(c, 20)}")
+            lines.append(f"{lam!r},{n},{t!r},{mp.nstr(c, DIGITS)}")
     OUT.write_text("\n".join(lines) + "\n", encoding="ascii")
-    print(f"wrote {len(lines) - 3} rows to {OUT}")
+    print(f"wrote {len(lines) - 4} rows to {OUT}")
 
 
 if __name__ == "__main__":

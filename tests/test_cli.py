@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import eulb
 import eulb.sweep as sweep_mod
 from eulb.cli import main
 
@@ -128,3 +129,34 @@ def test_oracle_narrow_window_warns(tmp_path, capsys):
     assert code == 0 and lines[-1] == "result: PASS"
     assert lines[-2].lstrip().startswith("warning: discrete-mode window")
     assert not any(line.endswith("FAIL") for line in lines)
+
+
+def test_oracle_refuses_recurring_modes_before_propagating(tmp_path, monkeypatch, capsys):
+    # fig 3: 2000 modes over a window of 20 lambda = 800 recur at
+    # pi * 2000 / 800 = 7.85, before the grid end 20; floor(800 * 20 / pi) + 1 = 5093
+    path = tmp_path / "fig3.cfg"
+    path.write_text(eulb.format_config(eulb.figure_preset(3)))
+
+    def propagate(*args, **kwargs):
+        raise AssertionError("the discrete-mode oracle ran")
+
+    monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", propagate)
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert "recur at gamma0 t = 7.85398" in captured.err
+    assert "--discrete-modes 5093 or more" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(("modes", "code"), [("95", 1), ("96", 2)])
+def test_oracle_recurrence_check_boundary(tmp_path, capsys, modes, code):
+    # window 20 lambda = 20 and grid end 15: 95 modes recur at 14.92, 96 at 15.08,
+    # so 96 propagates (and fails on the excitation returning just past the end)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG.replace("t_max_gamma0 = 1", "t_max_gamma0 = 15"))
+    assert main(["oracle", "--config", str(path), "--discrete-modes", modes]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert "--discrete-modes 96 or more" in captured.err and captured.out == ""
+    else:
+        assert captured.out.rstrip().endswith("result: FAIL")

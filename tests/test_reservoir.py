@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from eulb.reservoir import (
+    _CHEBYSHEV_THETA,
     ReservoirParams,
+    _bessel_series,
     build_mode_grid,
     decay_amplitude,
     discrete_mode_oracle,
@@ -23,7 +25,8 @@ C_AT_01 = 0.9627172615168508
 # form below the critical coupling, found to 40 digits independently).
 FIRST_ZERO = 8.242034311692072
 
-# C(t) to 40 digits at gamma0 = 1; written by tests/golden/capture_amplitude.py
+# C(t) at gamma0 = 1, evaluated at 40 digits and written to 20; written by
+# tests/golden/capture_amplitude.py
 AMPLITUDE_REFERENCE = Path(__file__).with_name("golden") / "amplitude_mpmath.csv"
 
 
@@ -357,3 +360,52 @@ class TestDiscreteModeExactPropagation:
         grid = build_mode_grid(params, 20, 10.0)
         with pytest.raises(ValueError, match="max_step"):
             discrete_mode_oracle(params, np.array([0.0, 0.1]), grid, max_step=bad)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestChebyshevPropagator:
+    def test_bessel_series_at_zero_is_identity(self):
+        assert np.array_equal(_bessel_series(0.0), [1.0])
+
+    def test_bessel_series_identities(self):
+        # each J_k(x) carries an absolute error of about x * eps from the
+        # rounded phase x sin(tau), so the bounds grow with x; 1917.5-1920 is
+        # where an FFT of the power of two >= 2x + 256 points would leave no cut
+        xs = np.concatenate([[1e-6, 1e-3, 0.5, 64.0, 1917.5, 1920.0], np.linspace(1.0, 2000.0, 200)])
+        for x in xs:
+            j = _bessel_series(x)
+            k = np.arange(j.size)
+            assert j.size > x
+            # Jacobi-Anger at tau = 0, and Parseval
+            assert abs(j[0] + 2.0 * j[2::2].sum() - 1.0) <= 4.0 * EPS * (1.0 + x), x
+            assert abs(j[0] ** 2 + 2.0 * np.sum(j[1:] ** 2) - 1.0) <= 8.0 * EPS, x
+            # three-term recurrence, multiplied through by x below x = 1
+            lhs = j[:-2] + j[2:]
+            rhs = 2.0 * k[1:-1] * j[1:-1]
+            if x >= 1.0:
+                assert np.max(np.abs(lhs - rhs / x)) <= 2.0 * EPS * (1.0 + x), x
+            else:
+                assert np.max(np.abs(x * lhs - rhs)) <= 2.0 * EPS, x
+
+    def test_bessel_series_without_cut_raises(self):
+        with pytest.raises(RuntimeError, match="no cut"):
+            _bessel_series(float("nan"))
+
+    # a non-uniform grid: the steps of length 64 / a ~ 1.5 span several grid
+    # points, and 2.2 -> 6.0 is longer than one step, so it is cut into
+    # substeps; start = 1 drops t = 0, so the first grid point is inside a step
+    T_NONUNIFORM = np.array([0.0, 0.013, 0.05, 0.21, 0.4, 0.47, 0.9, 1.3, 1.31, 1.7, 2.2, 6.0, 6.1, 6.35, 7.0])
+
+    @pytest.mark.parametrize(("n", "start"), [(1, 0), (3, 0), (3, 1)])
+    def test_long_steps_match_dense_eigh(self, n, start):
+        params = ReservoirParams(1.0, 2.0, n)
+        grid = build_mode_grid(params, 200, 40.0)
+        t = self.T_NONUNIFORM[start:]
+        f = grid.frequencies
+        cap = _CHEBYSHEV_THETA / ((f.max() - f.min()) / 2 + np.sqrt(n) * np.linalg.norm(grid.couplings))
+        assert np.sum(t < cap) >= 5 and np.max(np.diff(t)) > 2 * cap
+        traj = discrete_mode_oracle(params, t, grid)
+        assert np.max(np.abs(traj.amplitudes - _exact_amplitudes(params, t, grid))) <= 1e-12
+        assert traj.max_norm_error <= 1e-12
