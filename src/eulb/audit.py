@@ -12,7 +12,11 @@ evolved matrices below.
 The closed forms are numpy array functions of the amplitude c, evaluated
 exactly as written; closed_form_report takes one amplitude or an array of
 them, and discrepancy_report evaluates them once over its whole amplitude
-grid.
+grid.  The definition route evolves both families in one channel call and
+reads every definition-based value from one ledger call on that two-family
+stack, the post-measurement entropies S(rho_XB) and S(rho_ZB) included:
+the post-measurement state is block diagonal in the measured basis, so its
+entropy is the sum of the ledger's branch entropies.
 """
 
 from __future__ import annotations
@@ -21,25 +25,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bounds_record, pauli_x, pauli_z, post_measurement_state
+from .bounds import _ledger, pauli_x, pauli_z
 from .channel import (
     _AMPLITUDE_SLACK,
     apply_memory_decay,
     bell_diagonal_initial,
     max_entangled_initial,
 )
-from .linalg import binary_entropy, von_neumann_entropy
+from .linalg import binary_entropy
 from .reservoir import _is_int
 
 CONSISTENCY_TOL = 1e-9
 
-# The definition route and the tabulated-matrix gap run in amplitude stacks
-# of this many points; the ledger's temporaries take ~2.5 kB per amplitude.
-# The closed forms run once over the whole grid, so audit memory grows with
-# the grid: their tracemalloc peak is ~160 bytes per point, ~160 MB at the
-# 10^6-point cap.  The tracemalloc peak of a 101-point audit is ~0.036 MB
-# at 8 points per stack, ~0.031 MB at 6 and ~0.055 MB at 16; 6 points
-# cost ~20% more time than 8 (2-vCPU VM, numpy 2.4).
+# The definition route and the tabulated-matrix gap run in blocks of this
+# many amplitudes, each block one channel call and one ledger call on the
+# (2, block) stack of both families; the ledger's temporaries take ~1.7 kB
+# per amplitude.  The closed forms run once over the whole grid, so audit
+# memory grows with the grid: their tracemalloc peak is ~160 bytes per
+# point, ~160 MB at the 10^6-point cap.  The tracemalloc peak of a 101-point
+# audit is ~0.038 MB at 8 amplitudes per block, ~0.035 MB at 6, ~0.046 MB
+# at 12 and ~0.054 MB at 16; per audit, 6 take ~15% more time than 8, and
+# 12 ~20% less (2-vCPU VM, numpy 2.4).
 _AUDIT_BLOCK = 8
 _MAX_AUDIT_POINTS = 1_000_000
 
@@ -239,7 +245,6 @@ _CLOSED_FORMS = {
     "bell_bound": closed_form_bell_bound,
     "bell_delta": closed_form_bell_delta,
 }
-# Built once, so the projectors they cache are not rebuilt on every block.
 _X, _Z = pauli_x(), pauli_z()
 
 
@@ -248,20 +253,24 @@ def _closed_forms(c: np.ndarray) -> np.ndarray:
     return np.array([fn(c) for fn in _CLOSED_FORMS.values()])
 
 
-def _definitions(c: np.ndarray, p: float) -> np.ndarray:
+def _evolved(c: np.ndarray, p: float) -> np.ndarray:
+    """Both families evolved to the amplitudes c in one channel call: shape
+    (2,) + c.shape + (4, 4), the maximally entangled family first."""
+    initials = np.stack([max_entangled_initial(), bell_diagonal_initial(p)])
+    return apply_memory_decay(initials.reshape((2,) + (1,) * c.ndim + (4, 4)), c)
+
+
+def _definitions(evolved: np.ndarray) -> np.ndarray:
     """The definition-based value of every closed form, laid out as _closed_forms.
 
-    One ledger call per family on the whole amplitude array; per family the
-    values follow the formula order entropy_x, entropy_z, lhs, bound, delta.
+    One ledger call on the stack of both evolved families; per family the
+    values follow the formula order entropy_x, entropy_z, lhs, bound, delta,
+    with the post-measurement entropies S(rho_XB) and S(rho_ZB) taken from
+    the ledger's branch spectra.
     """
-    values = []
-    for initial in (max_entangled_initial(), bell_diagonal_initial(p)):
-        rho = apply_memory_decay(initial, c)
-        rec = bounds_record(rho, _X, _Z)
-        s_post_x = von_neumann_entropy(post_measurement_state(rho, _X))
-        s_post_z = von_neumann_entropy(post_measurement_state(rho, _Z))
-        values += [s_post_x, s_post_z, rec.u_left, rec.adabi, rec.delta]
-    return np.array(values)
+    rec, post = _ledger(evolved, _X, _Z)
+    values = np.stack([post[..., 0], post[..., 1], rec.u_left, rec.adabi, rec.delta], axis=1)
+    return values.reshape((10,) + values.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,7 @@ def closed_form_report(
         raise ValueError("amplitude must be finite")
     if np.any(np.abs(c) > 1.0):
         raise ValueError(f"amplitude |{np.max(np.abs(c))}| > 1 out of range")
-    rows = zip(_CLOSED_FORMS, _closed_forms(c), _definitions(c, p))
+    rows = zip(_CLOSED_FORMS, _closed_forms(c), _definitions(_evolved(c, p)))
     if c.ndim == 0:
         return [FormulaComparison(name, float(v), float(d)) for name, v, d in rows]
     return [FormulaComparison(name, v, d) for name, v, d in rows]
@@ -378,22 +387,20 @@ def discrepancy_report(p: float = 0.5, grid_points: int = 101) -> DiscrepancyRep
     grid = np.linspace(0.0, 1.0, grid_points)
     deviation = _closed_forms(grid)  # turned into |closed form - definition| block by block
     matrix_worst = (0.0, 0.0, (0, 0))
-    initial = bell_diagonal_initial(p)
     # argmax takes the first maximum, and only a strictly greater matrix gap
     # replaces an earlier block's, so every worst c is the first one on the
     # grid, as a point-by-point scan would report it.
     for start in range(0, grid.size, _AUDIT_BLOCK):
         rows = slice(start, start + _AUDIT_BLOCK)
         block = grid[rows]
-        deviation[:, rows] = np.abs(deviation[:, rows] - _definitions(block, p))
-        tabulated = evolved_bell_diagonal_closed_form(p, block)
-        gap = np.abs(tabulated - apply_memory_decay(initial, block))
+        evolved = _evolved(block, p)
+        deviation[:, rows] = np.abs(deviation[:, rows] - _definitions(evolved))
+        gap = np.abs(evolved_bell_diagonal_closed_form(p, block) - evolved[1])
         k, a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
         if gap[k, a, b] > matrix_worst[0]:
             matrix_worst = (float(gap[k, a, b]), float(block[k]), (int(a), int(b)))
-    gap_full = np.abs(
-        evolved_bell_diagonal_closed_form(p, 1.0) - apply_memory_decay(initial, 1.0)
-    )
+    at_full = apply_memory_decay(bell_diagonal_initial(p), 1.0)
+    gap_full = np.abs(evolved_bell_diagonal_closed_form(p, 1.0) - at_full)
     worst = np.argmax(deviation, axis=1)
     return DiscrepancyReport(
         p=p,

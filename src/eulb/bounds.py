@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import IDENTITY_2, entropy_from_eigenvalues, tensor_product, von_neumann_entropy
 
 ZERO_PROBABILITY_TOL = 1e-12
+_IDENTITY = np.eye(2)
 
 
 @dataclass(eq=False)
@@ -68,7 +69,7 @@ def pauli_z() -> Observable:
 def complementarity(q: Observable, r: Observable) -> float:
     """max_{i,j} |<q_i|r_j>|^2; equals 1/2 for mutually unbiased qubit bases."""
     overlaps = q.kets.conj() @ r.kets.T
-    return float(np.max(np.abs(overlaps) ** 2))
+    return float(np.abs(overlaps).max() ** 2)
 
 
 def post_measurement_state(rho: np.ndarray, obs: Observable) -> np.ndarray:
@@ -90,8 +91,8 @@ def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.
     # gives the branch <k|rho|k>.
     blocks = rho.reshape(stack + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(stack + (4, 4))
     weights = np.empty((5, 2, 2), dtype=rho.dtype)
-    weights[0] = ((1, 0), (0, 1))  # not np.eye: its ~5 kB transient set a single call's peak
-    weights[1:] = kets.conj()[:, :, None] * kets[:, None, :]
+    weights[0] = _IDENTITY  # a constant: a per-call np.eye (~5 kB transient) set the peak
+    np.multiply(kets.conj()[:, :, None], kets[:, None, :], out=weights[1:])
     reduced = np.empty(stack + (6, 4), dtype=rho.dtype)  # rho_A, rho_B, then the branches
     np.einsum("jm,...mx->...jx", weights.reshape(5, 4), blocks, out=reduced[..., 1:, :])
     reduced[..., 0, :] = blocks[..., :, 0] + blocks[..., :, 3]  # rho_A: the b = d = 0, 1 slices
@@ -106,7 +107,7 @@ def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     the entropies h of the unnormalised branch spectra, using
     p S(sigma/p) = h + p log2 p.  Zero-probability outcomes contribute 0."""
     live = p > ZERO_PROBABILITY_TOL
-    return s_b - np.sum(np.where(live, h + p * np.log2(np.where(live, p, 1.0)), 0.0), axis=-1)
+    return s_b - np.where(live, h + p * np.log2(np.where(live, p, 1.0)), 0.0).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,14 @@ def bounds_record(
     rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude broadcast
     against the stack axes.
     """
+    return _ledger(rho, q, r, t, amplitude)[0]
+
+
+def _ledger(
+    rho: np.ndarray, q: Observable, r: Observable, t: float = 0.0, amplitude: float = 1.0
+) -> tuple[BoundsRecord, np.ndarray]:
+    """bounds_record's record, and the post-measurement entropies S(rho_QB)
+    and S(rho_RB) over the stack axes, shape (..., 2)."""
     rho = np.asarray(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"bounds_record expects a 4x4 state or a stack of them, got {rho.shape}")
@@ -154,19 +163,20 @@ def bounds_record(
     # so they are Hermitian with it.
     s_ab = von_neumann_entropy(rho)
     s, p = _reduced_spectra(rho, kets)
-    s_a, s_b, h_q, h_r = s[..., 0], s[..., 1], s[..., 2:4], s[..., 4:6]
-    p_q, p_r = p[..., :2], p[..., 2:]
-    hol_q = _holevo(s_b, p_q, h_q)
-    hol_r = _holevo(s_b, p_r, h_r)
+    s_a, s_b = s[..., 0], s[..., 1]
+    h = s[..., 2:].reshape(s.shape[:-1] + (2, 2))  # [..., observable q or r, outcome]
+    post = h.sum(axis=-1)
+    hol = _holevo(s_b[..., None], p.reshape(h.shape), h)
     mi = s_a + s_b - s_ab
     ce = s_ab - s_b
-    delta = mi - hol_q - hol_r
+    delta = mi - hol[..., 0] - hol[..., 1]
     berta = math.log2(1.0 / complementarity(q, r)) + ce
-    u_left = (np.sum(h_q, axis=-1) - s_b) + (np.sum(h_r, axis=-1) - s_b)
+    u_left = (post[..., 0] - s_b) + (post[..., 1] - s_b)
     adabi = berta + np.maximum(0.0, delta)
-    values = (t, amplitude, u_left, berta, adabi, delta, hol_q, hol_r, mi, ce)
+    values = (t, amplitude, u_left, berta, adabi, delta, hol[..., 0], hol[..., 1], mi, ce)
     if rho.ndim == 2:
-        return BoundsRecord(*(float(v) for v in values))
+        return BoundsRecord(*map(float, values)), post
     # broadcast_to per field: broadcast_arrays of the ten values allocates
     # ~27.5 kB on every stacked call, broadcast_to ~1.8 kB (numpy 2.4)
-    return BoundsRecord(*(np.broadcast_to(np.asarray(v, dtype=float), u_left.shape) for v in values))
+    shape = u_left.shape
+    return BoundsRecord(*(np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values)), post

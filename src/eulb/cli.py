@@ -93,19 +93,22 @@ def _check_recurrence(config: SweepConfig, n_modes: int, window_over_lambda: flo
 
     From pi * n_modes / window on, the discretized reservoir returns its
     excitation, so the run could only end in FAIL after the whole
-    propagation.  The error names the smallest count that clears the grid
-    end, floor(window t_max / pi) + 1.  build_mode_grid checks the count and
-    the window first.
+    propagation.  The returning excitation arrives a little before that
+    time, so a count whose recurrence only just clears the grid end still
+    fails (fig 3: 5093 modes recur at 20.0004 and print FAIL).  The error
+    therefore names ceil(1.5 window t_max / pi), which puts the recurrence
+    at 1.5 times the grid end.  build_mode_grid checks the count and the
+    window first.
     """
     lam = config.lambda_over_gamma0
     modes = build_mode_grid(ReservoirParams(1.0, lam, 1), n_modes, window_over_lambda * lam)
     t_end = config.t_max_gamma0
     if t_end >= modes.recurrence_time:
-        needed = math.floor(modes.window * t_end / math.pi) + 1
+        needed = math.ceil(1.5 * modes.window * t_end / math.pi)
         raise ValueError(
             f"{n_modes} discrete modes recur at gamma0 t = {modes.recurrence_time:.6g} "
             f"(pi * n_modes / window), within the grid end {t_end:g}; "
-            f"--discrete-modes {needed} or more puts the recurrence past it"
+            f"--discrete-modes {needed} or more puts the recurrence at 1.5 times the grid end"
         )
 
 

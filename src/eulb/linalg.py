@@ -35,7 +35,7 @@ def _inexact(m) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of m, or of any member of a stack, from its adjoint."""
     m = _inexact(m)
-    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
+    return float(np.abs(m - m.swapaxes(-1, -2).conj()).max())
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -103,11 +103,12 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
     entropy of sigma's spectrum plus p log2 p.
     """
     evals = np.asarray(evals, dtype=float)
-    if np.any(evals < EIGENVALUE_FLOOR):
-        smallest = np.min(evals)
+    # one reduction; fmin skips NaN, and the initial value covers an empty stack
+    smallest = np.fmin.reduce(evals, axis=None, initial=np.inf)
+    if smallest < EIGENVALUE_FLOOR:
         raise ValueError(f"eigenvalue {smallest:.3e} below positivity floor {EIGENVALUE_FLOOR}")
     p = np.where(evals > 0.0, evals, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
-    s = -np.sum(p * np.log2(p), axis=-1)
+    s = -(p * np.log2(p)).sum(axis=-1)
     return np.maximum(s, 0.0)  # roundoff guard when an eigenvalue exceeds 1 by ~1 ulp
 
 

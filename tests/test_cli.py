@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import warnings
 
 import pytest
@@ -133,7 +134,7 @@ def test_oracle_narrow_window_warns(tmp_path, capsys):
 
 def test_oracle_refuses_recurring_modes_before_propagating(tmp_path, monkeypatch, capsys):
     # fig 3: 2000 modes over a window of 20 lambda = 800 recur at
-    # pi * 2000 / 800 = 7.85, before the grid end 20; floor(800 * 20 / pi) + 1 = 5093
+    # pi * 2000 / 800 = 7.85, before the grid end 20; ceil(1.5 * 800 * 20 / pi) = 7640
     path = tmp_path / "fig3.cfg"
     path.write_text(eulb.format_config(eulb.figure_preset(3)))
 
@@ -144,19 +145,31 @@ def test_oracle_refuses_recurring_modes_before_propagating(tmp_path, monkeypatch
     assert main(["oracle", "--config", str(path), "--discrete-modes", "2000"]) == 1
     captured = capsys.readouterr()
     assert "recur at gamma0 t = 7.85398" in captured.err
-    assert "--discrete-modes 5093 or more" in captured.err
+    assert "--discrete-modes 7640 or more" in captured.err
     assert captured.out == ""
 
 
 @pytest.mark.parametrize(("modes", "code"), [("95", 1), ("96", 2)])
 def test_oracle_recurrence_check_boundary(tmp_path, capsys, modes, code):
     # window 20 lambda = 20 and grid end 15: 95 modes recur at 14.92, 96 at 15.08,
-    # so 96 propagates (and fails on the excitation returning just past the end)
+    # so 96 propagates (and fails on the excitation returning just before the
+    # recurrence time); the refusal names ceil(1.5 * 20 * 15 / pi) = 144
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CONFIG.replace("t_max_gamma0 = 1", "t_max_gamma0 = 15"))
     assert main(["oracle", "--config", str(path), "--discrete-modes", modes]) == code
     captured = capsys.readouterr()
     if code == 1:
-        assert "--discrete-modes 96 or more" in captured.err and captured.out == ""
+        assert "--discrete-modes 144 or more" in captured.err and captured.out == ""
     else:
         assert captured.out.rstrip().endswith("result: FAIL")
+
+
+def test_oracle_named_mode_count_passes(tmp_path, capsys):
+    # the count that the refusal names must itself pass, not only clear the
+    # recurrence: on the grid above 96 and 120 modes still print FAIL
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG.replace("t_max_gamma0 = 1", "t_max_gamma0 = 15"))
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "95"]) == 1
+    needed = re.search(r"--discrete-modes (\d+) or more", capsys.readouterr().err).group(1)
+    assert main(["oracle", "--config", str(path), "--discrete-modes", needed]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("result: PASS")

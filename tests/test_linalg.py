@@ -11,6 +11,7 @@ from eulb.linalg import (
     PAULI_X,
     binary_entropy,
     eigenvalues_hermitian,
+    entropy_from_eigenvalues,
     hermiticity_defect,
     partial_trace,
     tensor_product,
@@ -181,6 +182,35 @@ class TestEntropy:
     def test_positivity_error(self):
         with pytest.raises(ValueError, match="positivity|eigenvalue"):
             von_neumann_entropy(np.diag([1.001, -0.001]))
+
+    @pytest.mark.parametrize("shape", [(4,), (6, 2), (8, 6, 2), (2001, 4), (2001, 6, 2)])
+    def test_bitwise_equal_to_plain_expression(self, rng, shape):
+        # the ledger's stacks, with exact zeros and clamped roundoff negatives
+        evals = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+        evals[..., 0] = 0.0
+        evals[..., -1] = -1e-17
+        p = np.where(evals > 0.0, evals, 1.0)
+        plain = np.maximum(-np.sum(p * np.log2(p), axis=-1), 0.0)
+        assert np.array_equal(entropy_from_eigenvalues(evals), plain)
+
+    def test_empty_stack(self):
+        assert entropy_from_eigenvalues(np.zeros((0, 4))).shape == (0,)
+        assert entropy_from_eigenvalues(np.zeros(0)) == 0.0
+        assert np.array_equal(entropy_from_eigenvalues(np.zeros((3, 0))), np.zeros(3))
+
+    def test_nan_counts_as_zero_probability(self):
+        # NaN is neither below the floor nor positive, so it adds 0 log 0
+        assert entropy_from_eigenvalues(np.array([np.nan, 0.5])) == 0.5
+        assert entropy_from_eigenvalues(np.array([np.nan, np.nan])) == 0.0
+        with pytest.raises(ValueError, match="-1.000e-03 below positivity floor"):
+            entropy_from_eigenvalues(np.array([np.nan, -1e-3]))
+
+    def test_floor_error_names_smallest_eigenvalue(self):
+        evals = np.array([[0.7, -2e-3, 0.3], [0.9, 0.2, -3e-3]])
+        with pytest.raises(ValueError, match="eigenvalue -3.000e-03 below positivity floor"):
+            entropy_from_eigenvalues(evals)
+        # roundoff negatives down to the floor are clamped, not refused
+        assert entropy_from_eigenvalues(np.array([1.0, -1e-10])) == 0.0
 
 
 class TestBinaryEntropy:
