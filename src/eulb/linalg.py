@@ -90,8 +90,9 @@ def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
     if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    # a NaN or inf entry makes the defect NaN or inf, so this also rejects it
+    if not defect <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian or has non-finite entries (defect {defect:.3e})")
     return np.linalg.eigvalsh(m)[..., ::-1]
 
 

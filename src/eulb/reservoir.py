@@ -16,11 +16,13 @@ monotonically.  decay_amplitude evaluates one cancellation-free
 rewrite of the formula for every coupling.  Two independent numerical
 routes validate it: an exact local ODE reformulation of the memory-kernel
 dynamics, and a brute-force simulation with explicitly discretized
-reservoir modes.  The kernel ODE is a 2x2 system, propagated with a
-truncated Taylor series of exp(A h) in steps of h <= 2 / ||A||.  The
-discrete modes are propagated in the symmetric sector (the qubit sum and
-the modes) with a Chebyshev expansion of exp(-iHh), whose long steps each
-cover many grid points.
+reservoir modes.  The kernel ODE is a 2x2 system: per distinct grid
+interval a truncated Taylor series of exp(A h), h <= 2 / ||A||, raised to
+the interval's step count gives its propagator, and a prefix scan composes
+the intervals over the whole grid at once, in log2 K rounds and O(K)
+memory for K grid points.  The discrete modes are propagated in the
+symmetric sector (the qubit sum and the modes) with a Chebyshev expansion
+of exp(-iHh), whose long steps each cover many grid points.
 """
 
 from __future__ import annotations
@@ -194,6 +196,35 @@ def _step_cap(h_max: float, max_step: float | None) -> float:
     return h_max
 
 
+def _compose(a, b):
+    """(I + a)(I + b) - I = a + b + ab for 2x2 increments held as rows (ss, sz, zs, zz).
+
+    The rows are floats, or equal-length arrays holding one increment per
+    column.  Working with increments keeps the digits that forming I + a
+    would round away.
+    """
+    a_ss, a_sz, a_zs, a_zz = a
+    b_ss, b_sz, b_zs, b_zz = b
+    return (
+        a_ss + b_ss + (a_ss * b_ss + a_sz * b_zs),
+        a_sz + b_sz + (a_ss * b_sz + a_sz * b_zz),
+        a_zs + b_zs + (a_zs * b_ss + a_zz * b_zs),
+        a_zz + b_zz + (a_zs * b_sz + a_zz * b_zz),
+    )
+
+
+def _power_increment(q, m: int):
+    """(I + q)^m - I for m >= 1, by repeated squaring in increment form."""
+    result = (0.0, 0.0, 0.0, 0.0)
+    while True:
+        if m & 1:
+            result = _compose(q, result)
+        m >>= 1
+        if not m:
+            return result
+        q = _compose(q, q)
+
+
 def kernel_ode_oracle(
     params: ReservoirParams, t_grid, max_step: float | None = None
 ) -> AmplitudeTrajectory:
@@ -207,11 +238,16 @@ def kernel_ode_oracle(
 
     where s is the sum of the qubit amplitudes.  Amplitude differences are
     conserved, so the initially excited qubit has C(t) = (N - 1 + s(t)) / N.
-    Each grid interval is cut into equal steps h <= 2 / ||A||, with the
-    infinity norm ||A|| = max(N, gamma0 lambda / 2 + lambda); max_step, if
-    given, only caps h further.  Per distinct h the Taylor series gives
-    Q = exp(A h) - I once, and each step adds Q (s, z) to (s, z), which keeps
-    the digits that forming I + Q would round away.
+    Each grid interval (the first from t = 0) is cut into equal steps
+    h <= 2 / ||A||, with the infinity norm ||A|| = max(N, gamma0 lambda / 2
+    + lambda); max_step, if given, only caps h further.  Per distinct
+    interval length the Taylor series gives Q = exp(A h) - I once, raised to
+    the interval's step count by repeated squaring.  An inclusive
+    Hillis-Steele scan then composes the K intervals' propagators in
+    ceil(log2 K) rounds over (4, K) rows, in memory O(K).  Every product is
+    taken in increment form, (I + a)(I + b) - I = a + b + ab, so I + Q is
+    never formed: it would round away the digits of Q below 1e-16.  The
+    scan's (s, s) entry q_ss gives C = (N + q_ss) / N.
     """
     grid = _validate_grid(t_grid)
     n = float(params.n_qubits)
@@ -220,24 +256,19 @@ def kernel_ode_oracle(
     h_max = _step_cap(_TAYLOR_THETA / max(n, k + lam), max_step)
     a = np.array([[0.0, -n], [k, -lam]])
 
-    increments: dict[float, np.ndarray] = {}
-    s, z = 1.0, 0.0
-    t_prev = 0.0
-    sums = np.empty(grid.size)
-    for idx, t_next in enumerate(map(float, grid)):
-        span = t_next - t_prev
-        if span > 0.0:
-            substeps = max(1, math.ceil(span / h_max))
-            h = span / substeps
-            if h not in increments:
-                increments[h] = np.zeros((2, 2))
-                _taylor_increment(a.dot, np.eye(2), h, increments[h])
-            q_ss, q_sz, q_zs, q_zz = increments[h].ravel().tolist()
-            for _ in range(substeps):
-                s, z = s + (q_ss * s + q_sz * z), z + (q_zs * s + q_zz * z)
-            t_prev = t_next
-        sums[idx] = s
-    return AmplitudeTrajectory(times=params.gamma0 * grid, amplitudes=((n - 1.0) + sums) / n)
+    spans, interval = np.unique(np.diff(grid, prepend=0.0), return_inverse=True)
+    increments = np.empty((4, spans.size))
+    for j, span in enumerate(spans.tolist()):
+        substeps = max(1, math.ceil(span / h_max))
+        q = np.zeros((2, 2))
+        _taylor_increment(a.dot, np.eye(2), span / substeps, q)
+        increments[:, j] = _power_increment(q.ravel().tolist(), substeps)
+    scan = increments[:, interval]
+    shift = 1
+    while shift < grid.size:
+        scan[:, shift:] = _compose(scan[:, shift:], scan[:, :-shift])
+        shift *= 2
+    return AmplitudeTrajectory(times=params.gamma0 * grid, amplitudes=(n + scan[0]) / n)
 
 
 def build_mode_grid(params: ReservoirParams, n_modes: int, window: float) -> ModeGrid:
@@ -266,15 +297,18 @@ def _bessel_series(x: float) -> np.ndarray:
     x * 1e-16 from the rounded phase x sin(tau).  Raises RuntimeError if no
     cut exists, as for a non-finite x.
     """
-    size = 256
-    while size < 3.0 * x + 256.0:
-        size *= 2
-    tau = np.arange(size) * (2.0 * math.pi / size)
-    bessel = (np.fft.fft(np.exp(1j * x * np.sin(tau)))[: size // 2] / size).real
-    cut = np.flatnonzero((np.arange(size // 2) > x) & (np.abs(bessel) <= _CHEBYSHEV_TOL))
-    if cut.size == 0:
-        raise RuntimeError(f"Chebyshev series of exp(-iHh) has no cut at a h = {x!r}")
-    return bessel[: cut[0]]
+    if math.isfinite(x):
+        size = 256
+        while size < 3.0 * x + 256.0:
+            size *= 2
+        # one expression, so the arrays of tau and sin(tau) are freed before the FFT
+        samples = np.exp(1j * x * np.sin(np.arange(size) * (2.0 * math.pi / size)))
+        bessel = (np.fft.fft(samples)[: size // 2] / size).real
+        first = math.floor(x) + 1  # the first order k > x
+        cut = np.flatnonzero(np.abs(bessel[first:]) <= _CHEBYSHEV_TOL)
+        if cut.size:
+            return bessel[: first + cut[0]]
+    raise RuntimeError(f"Chebyshev series of exp(-iHh) has no cut at a h = {x!r}")
 
 
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
@@ -348,33 +382,36 @@ def discrete_mode_oracle(
     size = 1 + mode_grid.n_modes
     y = np.zeros(size, dtype=complex)
     y[0] = 1.0
-    buffers = [np.empty(size, dtype=complex) for _ in range(3)]
+    # each buffer with its view past the head, sliced once per call
+    buffers = [(b, b[1:]) for b in np.empty((3, size), dtype=complex)]
     scratch = np.empty(size, dtype=complex)
-
-    def twice_shifted(v: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(diag, v[1:], out=out[1:])
-        np.multiply(arm, v[0], out=scratch[1:])
-        out[1:] += scratch[1:]
-        out[0] = head * v[0] + arm @ v[1:]
+    scratch_tail = scratch[1:]
 
     def step(y: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """y <- sum_k coeffs[k] T_k y in place; returns the first component of each T_k y."""
-        prev, cur, nxt = buffers
-        heads = np.empty(coeffs.size, dtype=complex)
+        (prev, prev_tail), (cur, cur_tail), (nxt, nxt_tail) = buffers
+        c = coeffs.tolist()
         np.copyto(cur, y)
-        heads[0] = cur[0]
-        y *= coeffs[0]
-        for k in range(1, coeffs.size):
-            twice_shifted(cur, nxt)
+        v0 = cur[0]
+        heads = [v0]
+        y *= c[0]
+        for k in range(1, len(c)):
+            # nxt = 2 H~ cur
+            np.multiply(diag, cur_tail, out=nxt_tail)
+            np.multiply(arm, v0, out=scratch_tail)
+            nxt_tail += scratch_tail
+            nxt[0] = head * v0 + arm @ cur_tail
             if k == 1:
                 nxt *= 0.5  # T_1 y = H~ y
             else:
                 nxt -= prev  # T_k y = 2 H~ T_{k-1} y - T_{k-2} y
             prev, cur, nxt = cur, nxt, prev
-            heads[k] = cur[0]
-            np.multiply(cur, coeffs[k], out=scratch)
+            prev_tail, cur_tail, nxt_tail = cur_tail, nxt_tail, prev_tail
+            v0 = cur[0]
+            heads.append(v0)
+            np.multiply(cur, c[k], out=scratch)
             y += scratch
-        return heads
+        return np.array(heads)
 
     sums = np.empty(grid.size)
     max_norm_error = 0.0

@@ -229,6 +229,19 @@ class TestBoundsRecord:
         single = bounds_record(stack[0, 0], pauli_x(), pauli_z(), t=1.5, amplitude=0.7)
         assert single.t == 1.5 and single.amplitude == 0.7
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, bad):
+        # a NaN entry used to give a finite record: u_left 0.0, berta 2.0
+        rho = np.eye(4) / 4
+        rho[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            bounds_record(rho, pauli_x(), pauli_z())
+        stack = np.array([np.eye(4) / 4] * 5, dtype=complex)
+        stack[2, 1, 3] = stack[2, 3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            bounds_record(stack, pauli_x(), pauli_z())
+
 
 def _preset_stack(fig: int, n: int) -> np.ndarray:
     """The (steps, 4, 4) evolved states of one qubit count of a figure preset."""

@@ -127,6 +127,19 @@ class TestEigenvalues:
         with pytest.raises(ValueError, match="Hermitian"):
             eigenvalues_hermitian(stack)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize(("shape", "index"), [((4, 4), (0, 0)), ((4, 4), (1, 2)), ((5, 2, 2), (3, 1, 1))])
+    def test_rejects_non_finite_entries(self, bad, shape, index):
+        # the defect of a non-finite entry is NaN or inf, which a plain
+        # defect > tolerance test would let through
+        m = np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape).astype(complex)
+        m[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eigenvalues_hermitian(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            von_neumann_entropy(m)
+
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError, match="2x2 or 4x4"):
             eigenvalues_hermitian(np.eye(3))

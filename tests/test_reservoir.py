@@ -232,7 +232,7 @@ class TestKernelOdeTaylorPropagation:
             amps = kernel_ode_oracle(ReservoirParams(1.0, lam, n), grid).amplitudes
             got = amps[[index[t] for t, _ in rows]]
             worst = max(worst, float(np.max(np.abs(got - [c for _, c in rows]))))
-        assert worst <= 1e-14
+        assert worst <= 1e-15
 
     def test_large_max_step_does_not_change_trajectory(self):
         params = ReservoirParams(1.0, 2.0, 3)
@@ -242,6 +242,22 @@ class TestKernelOdeTaylorPropagation:
         assert np.array_equal(default.amplitudes, capped.amplitudes)
         finer = kernel_ode_oracle(params, t, max_step=1e-3)
         assert np.max(np.abs(finer.amplitudes - default.amplitudes)) <= 1e-13
+
+    @pytest.mark.parametrize(("lam", "n"), [(40.0, 1), (0.1, 10), (2.0, 1), (2.0, 5)])
+    def test_non_uniform_grid(self, lam, n):
+        # spans are multiples of 2^-13 ~ 1.2e-4 up to 3, so the grid holds them
+        # exactly: every length appears, some repeat, and the longest ones are
+        # cut into steps; the grid starts above t = 0
+        rng = np.random.default_rng(1504)
+        units = np.unique(np.rint(np.geomspace(1.0, 3.0 * 2**13, 12)))
+        spans = rng.permutation(np.concatenate([units, rng.choice(units, 36)])) * 2.0**-13
+        t = 0.75 + np.cumsum(spans)
+        assert np.array_equal(np.diff(t), spans[1:]) and spans.max() == 3.0
+        params = ReservoirParams(1.0, lam, n)
+        traj = kernel_ode_oracle(params, t)
+        assert np.max(np.abs(traj.amplitudes - decay_amplitude(params, t))) <= 1e-13
+        finer = kernel_ode_oracle(params, t, max_step=1e-3)
+        assert np.max(np.abs(finer.amplitudes - traj.amplitudes)) <= 1e-13
 
     @pytest.mark.parametrize(("lam", "n"), [(40.0, 1), (40.0, 10), (0.1, 10), (2.0, 5)])
     def test_coarse_grid_is_substepped(self, lam, n):
@@ -392,6 +408,8 @@ class TestChebyshevPropagator:
     def test_bessel_series_without_cut_raises(self):
         with pytest.raises(RuntimeError, match="no cut"):
             _bessel_series(float("nan"))
+        with pytest.raises(RuntimeError, match="no cut"):
+            _bessel_series(float("inf"))  # used to double the FFT size forever
 
     # a non-uniform grid: the steps of length 64 / a ~ 1.5 span several grid
     # points, and 2.2 -> 6.0 is longer than one step, so it is cut into
