@@ -16,7 +16,6 @@ from .audit import (
     closed_form_report,
     discrepancy_report,
     evolved_bell_diagonal_closed_form,
-    evolved_max_entangled,
 )
 from .bounds import (
     BoundsRecord,
@@ -25,20 +24,15 @@ from .bounds import (
     complementarity,
     pauli_x,
     pauli_z,
-    post_measurement_state,
 )
 from .channel import (
     apply_memory_decay,
     bell_diagonal_initial,
-    bell_diagonal_r_vector,
     max_entangled_initial,
 )
 from .linalg import (
     binary_entropy,
     eigenvalues_hermitian,
-    partial_trace,
-    tensor_product,
-    validate_density_matrix,
     von_neumann_entropy,
 )
 from .reservoir import (
@@ -78,7 +72,6 @@ __all__ = [
     "SweepOutput",
     "apply_memory_decay",
     "bell_diagonal_initial",
-    "bell_diagonal_r_vector",
     "binary_entropy",
     "bounds_record",
     "build_mode_grid",
@@ -90,20 +83,15 @@ __all__ = [
     "eigenvalues_hermitian",
     "emit_csv",
     "evolved_bell_diagonal_closed_form",
-    "evolved_max_entangled",
     "figure_preset",
     "format_config",
     "kernel_ode_oracle",
     "max_entangled_initial",
     "oracle_report",
     "parse_config",
-    "partial_trace",
     "pauli_x",
     "pauli_z",
-    "post_measurement_state",
     "run_sweep",
     "spectral_density",
-    "tensor_product",
-    "validate_density_matrix",
     "von_neumann_entropy",
 ]

@@ -6,8 +6,8 @@ families (evolved maximally entangled and evolved Bell-diagonal at p=1/2),
 among them the tightened bound of Adabi, Salimi & Haseli (PRA 93, 062123
 (2016)) written out for each family, are audit targets only: several of
 them are internally inconsistent, and closed_form_report quantifies the
-mismatch instead of using them.  The same holds for the two tabulated
-evolved matrices below.
+mismatch instead of using them.  The same holds for the tabulated evolved
+Bell-diagonal matrix below.
 
 The closed forms are numpy array functions of the amplitude c, evaluated
 exactly as written; closed_form_report takes one amplitude or an array of
@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _ledger, pauli_x, pauli_z
-from .channel import (
-    _AMPLITUDE_SLACK,
-    apply_memory_decay,
-    bell_diagonal_initial,
-    max_entangled_initial,
-)
+from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from .linalg import binary_entropy
 from .reservoir import _is_int
 
@@ -48,24 +43,6 @@ CONSISTENCY_TOL = 1e-9
 # 12 ~20% less (2-vCPU VM, numpy 2.4).
 _AUDIT_BLOCK = 8
 _MAX_AUDIT_POINTS = 1_000_000
-
-
-def evolved_max_entangled(c: float) -> np.ndarray:
-    """Closed-form evolved maximally entangled state at amplitude c.
-
-    Equals apply_memory_decay(max_entangled_initial(), c) entrywise; kept as
-    an explicit constructor so the channel can be cross-checked against it.
-    """
-    c = float(c)
-    if not abs(c) <= 1.0 + _AMPLITUDE_SLACK:  # written so that NaN fails too
-        raise ValueError(f"amplitude {c} out of range [-1, 1]")
-    c = min(max(c, -1.0), 1.0)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 0.5 * c * c
-    rho[1, 1] = 0.5 * (1.0 - c * c)
-    rho[3, 3] = 0.5
-    rho[0, 3] = rho[3, 0] = 0.5 * c
-    return rho
 
 
 def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:

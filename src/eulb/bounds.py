@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY_2, entropy_from_eigenvalues, tensor_product, von_neumann_entropy
+from .linalg import entropy_from_eigenvalues, von_neumann_entropy
 
 ZERO_PROBABILITY_TOL = 1e-12
 _IDENTITY = np.eye(2)
@@ -45,17 +45,6 @@ class Observable:
             raise ValueError(f"eigenbasis of {self.name!r} is not orthonormal")
         self.kets = kets
 
-    def projectors(self) -> list[np.ndarray]:
-        return [np.outer(k, k.conj()) for k in self.kets]
-
-    def full_projectors(self) -> list[np.ndarray]:
-        """The projectors lifted to the A factor of the two-qubit space, cached."""
-        cached = getattr(self, "_full_projectors", None)
-        if cached is None:
-            cached = [tensor_product(proj, IDENTITY_2) for proj in self.projectors()]
-            self._full_projectors = cached
-        return cached
-
 
 def pauli_x() -> Observable:
     s = 1.0 / math.sqrt(2.0)
@@ -70,15 +59,6 @@ def complementarity(q: Observable, r: Observable) -> float:
     """max_{i,j} |<q_i|r_j>|^2; equals 1/2 for mutually unbiased qubit bases."""
     overlaps = q.kets.conj() @ r.kets.T
     return float(np.abs(overlaps).max() ** 2)
-
-
-def post_measurement_state(rho: np.ndarray, obs: Observable) -> np.ndarray:
-    """Dephase rho in the measurement basis of A: sum_i (P_i x I) rho (P_i x I)."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for m in obs.full_projectors():
-        out += m @ rho @ m
-    return out
 
 
 def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,10 @@ two levels scale by c, and the lost population lands on the absorbing
 level.  The amplitude c is signed; in the strong-coupling regime it
 genuinely crosses zero.  By default the decaying level is |0>, the
 convention under which the channel reproduces the evolved maximally
-entangled matrix literally.  apply_memory_decay takes one state or a
-(..., 4, 4) stack, and one amplitude or an array of them, such as a whole
-time series of C(t).
+entangled matrix literally (tests/conftest.py writes that matrix out as a
+reference).  apply_memory_decay takes one state or a (..., 4, 4) stack,
+and one amplitude or an array of them, such as a whole time series of
+C(t).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, tensor_product
 
 _AMPLITUDE_SLACK = 1e-9  # |c| may exceed 1 by roundoff from the dynamics
 
@@ -73,16 +72,13 @@ def _bell_kets() -> dict[str, np.ndarray]:
     }
 
 
-def bell_diagonal_r_vector(p: float) -> tuple[float, float, float]:
-    """Correlation vector (r1, r2, r3) = (1-2p, -p, -p) of the Bell mixture below."""
-    return (1.0 - 2.0 * p, -p, -p)
-
-
 def bell_diagonal_initial(p: float) -> np.ndarray:
     """Bell mixture p |psi-><psi-| + (1-p)/2 (|psi+><psi+| + |phi+><phi+|).
 
-    Built directly from the Bell projectors.  Marginals are maximally mixed
-    for every p; the spectrum is {p, (1-p)/2, (1-p)/2, 0}.
+    Built directly from the Bell projectors; it equals the Pauli-basis form
+    (I x I + sum_i r_i sigma_i x sigma_i) / 4 with r = (1-2p, -p, -p).
+    Marginals are maximally mixed for every p; the spectrum is
+    {p, (1-p)/2, (1-p)/2, 0}.
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
@@ -93,11 +89,3 @@ def bell_diagonal_initial(p: float) -> np.ndarray:
         rho = rho + 0.5 * (1.0 - p) * np.outer(kets[name], kets[name].conj())
     return rho
 
-
-# Pauli-basis route kept exposed for tests: the Bell mixture equals
-# (I@I + sum_i r_i sigma_i @ sigma_i) / 4 with r = bell_diagonal_r_vector(p).
-def bell_diagonal_from_r(r: tuple[float, float, float]) -> np.ndarray:
-    rho = tensor_product(IDENTITY_2, IDENTITY_2).astype(complex)
-    for coeff, sigma in zip(r, (PAULI_X, PAULI_Y, PAULI_Z)):
-        rho = rho + coeff * tensor_product(sigma, sigma)
-    return rho / 4.0

@@ -128,12 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _load_config(args)
             if args.discrete_modes is not None:
                 _check_recurrence(config, args.discrete_modes, args.window)
-            report = oracle_report(
-                config,
-                include_discrete=args.discrete_modes is not None,
-                n_modes=2000 if args.discrete_modes is None else args.discrete_modes,
-                window_over_lambda=args.window,
-            )
+            report = oracle_report(config, args.discrete_modes, args.window)
             print(report.render())
             return 0 if report.passed else 2
         if args.command == "audit":

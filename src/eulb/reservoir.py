@@ -79,7 +79,7 @@ class ReservoirParams:
 
     gamma0:   relaxation rate (1/time)
     lambda_:  spectral width of the coupling (1/time)
-    n_qubits: total number of qubits in the reservoir, N >= 1
+    n_qubits: total number of qubits in the reservoir, 1 <= N <= 2^53
     """
 
     gamma0: float
@@ -91,8 +91,10 @@ class ReservoirParams:
             raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
         if not (_is_real(self.lambda_) and math.isfinite(self.lambda_) and self.lambda_ > 0):
             raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_}")
-        if not _is_int(self.n_qubits) or self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be an integer >= 1, got {self.n_qubits}")
+        # up to 2^53 a float holds N exactly; far beyond it the dynamics'
+        # int-to-float conversions overflow (N = 10^308: OverflowError)
+        if not _is_int(self.n_qubits) or not 1 <= self.n_qubits <= 2**53:
+            raise ValueError(f"n_qubits must be an integer in [1, 2**53], got {self.n_qubits}")
 
 
 @dataclass
@@ -358,12 +360,15 @@ def discrete_mode_oracle(
     narrower than 10 * lambda sets a warning flag on the trajectory, and so
     does a grid reaching the recurrence time pi * n_modes / window (2 pi over
     the mode spacing), after which the discretized reservoir returns its
-    excitation.  N is at most 10^6.
+    excitation.  N is at most 10^6, which caps the run time, not memory.
     """
     grid = _validate_grid(t_grid)
     n = params.n_qubits
-    if n > _MAX_MODES:
-        raise ValueError(f"n_qubits must be at most {_MAX_MODES} for the discrete-mode oracle, got {n}")
+    # The vector has 1 + n_modes entries for any N, so this cap bounds no
+    # allocation.  It bounds the run time: the step count t_max a / 64 grows
+    # as sqrt(N) through a.
+    if n > 1_000_000:
+        raise ValueError(f"n_qubits must be at most 10^6 for the discrete-mode oracle, got {n}")
     freqs = mode_grid.frequencies
     coupling = math.sqrt(n) * mode_grid.couplings
     f_min, f_max = float(freqs.min()), float(freqs.max())

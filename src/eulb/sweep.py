@@ -320,12 +320,14 @@ class OracleReport:
 
 def oracle_report(
     config: SweepConfig,
-    include_discrete: bool = False,
-    n_modes: int = 2000,
+    n_modes: int | None = None,
     window_over_lambda: float = 20.0,
 ) -> OracleReport:
     """Compare the closed-form amplitude against the kernel-ODE route for each
-    configured N (always) and against the discretized-mode route (on request)."""
+    configured N, and against the discretized-mode route with n_modes modes
+    over the half-width window_over_lambda * lambda when n_modes is given.
+    With n_modes None the report has no discrete-mode rows and
+    window_over_lambda is unused."""
     validate_config(config)
     times = _time_grid(config)
     kernel_rows = []
@@ -343,7 +345,7 @@ def oracle_report(
                 tolerance=KERNEL_ORACLE_TOL,
             )
         )
-        if include_discrete:
+        if n_modes is not None:
             grid = build_mode_grid(params, n_modes, window_over_lambda * params.lambda_)
             traj = discrete_mode_oracle(params, times, grid)
             discrete_rows.append(

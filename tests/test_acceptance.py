@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from conftest import random_density_matrix
-from eulb.audit import closed_form_report, discrepancy_report, evolved_max_entangled
+from conftest import evolved_max_entangled, random_density_matrix
+from eulb.audit import closed_form_report, discrepancy_report
 from eulb.bounds import bounds_record, pauli_x, pauli_z
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.cli import main

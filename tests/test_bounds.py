@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import eulb.audit as audit_mod
-from conftest import random_density_matrix, random_observable_pair
+from conftest import (
+    partial_trace,
+    post_measurement_state,
+    projectors,
+    random_density_matrix,
+    random_observable_pair,
+)
 from eulb.audit import closed_form_report
 from eulb.bounds import (
     BoundsRecord,
@@ -16,17 +22,9 @@ from eulb.bounds import (
     complementarity,
     pauli_x,
     pauli_z,
-    post_measurement_state,
 )
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
-from eulb.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    binary_entropy,
-    partial_trace,
-    tensor_product,
-    von_neumann_entropy,
-)
+from eulb.linalg import binary_entropy, von_neumann_entropy
 from eulb.reservoir import ReservoirParams, decay_amplitude
 from eulb.sweep import figure_preset
 
@@ -39,18 +37,18 @@ HOLEVO_Z_BELL = 0.75 * math.log2(3.0) - 1.0  # 0.18872187554086...
 
 class TestObservables:
     def test_pauli_z_projectors(self):
-        p0, p1 = pauli_z().projectors()
+        p0, p1 = projectors(pauli_z())
         assert np.array_equal(p0, np.diag([1.0, 0.0]))
         assert np.array_equal(p1, np.diag([0.0, 1.0]))
 
     def test_pauli_x_projectors(self):
-        p0, p1 = pauli_x().projectors()
+        p0, p1 = projectors(pauli_x())
         assert np.max(np.abs(p0 - np.array([[0.5, 0.5], [0.5, 0.5]]))) < 1e-15
         assert np.max(np.abs(p1 - np.array([[0.5, -0.5], [-0.5, 0.5]]))) < 1e-15
 
     def test_projectors_complete(self):
         for obs in (pauli_x(), pauli_z()):
-            p0, p1 = obs.projectors()
+            p0, p1 = projectors(obs)
             assert np.max(np.abs(p0 + p1 - np.eye(2))) < 1e-12
             assert np.max(np.abs(p0 @ p1)) < 1e-12
             assert np.max(np.abs(p0 @ p0 - p0)) < 1e-12
@@ -122,7 +120,7 @@ class TestHolevo:
     def test_zero_probability_outcome_contributes_nothing(self):
         # A fixed in |1>: the sigma_z outcome 0 never occurs, and the memory
         # carries no information at all
-        rho = tensor_product(np.diag([0.0, 1.0]), IDENTITY_2 / 2)
+        rho = np.kron(np.diag([0.0, 1.0]), np.eye(2) / 2)
         assert abs(bounds_record(rho, pauli_x(), pauli_z()).holevo_r) < 1e-12
 
     def test_range_on_random_states(self, rng):
@@ -139,7 +137,7 @@ class TestHolevo:
 
 class TestInformationMeasures:
     def test_product_state_has_no_mutual_information(self, rng):
-        rho = tensor_product(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+        rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         assert abs(bounds_record(rho, pauli_x(), pauli_z()).mutual_info) < 1e-9
 
     def test_max_entangled_values(self):
@@ -185,7 +183,7 @@ class TestBounds:
         assert abs(rec.adabi - 2.0) < 1e-9
 
     def test_product_state_delta_vanishes(self, rng):
-        rho = tensor_product(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+        rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
         rec = bounds_record(rho, pauli_x(), pauli_z())
         assert abs(rec.delta) < 1e-9
         assert abs(rec.adabi - rec.berta) < 1e-9
@@ -229,7 +227,6 @@ class TestBoundsRecord:
         single = bounds_record(stack[0, 0], pauli_x(), pauli_z(), t=1.5, amplitude=0.7)
         assert single.t == 1.5 and single.amplitude == 0.7
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_state(self, bad):
         # a NaN entry used to give a finite record: u_left 0.0, berta 2.0
@@ -272,7 +269,7 @@ class TestRealAndComplexPaths:
         # stack complex and changes no entropy on either side.  The two
         # routes differ most (~1e-14) in S(AB) near a vanishing eigenvalue.
         phase = np.diag([1.0, np.exp(0.7j)])
-        u = tensor_product(IDENTITY_2, phase)
+        u = np.kron(np.eye(2), phase)
         states = _preset_stack(fig, n)
         rotated = u @ states @ u.conj().T
         assert np.max(np.abs(rotated.imag)) > 0.01
@@ -308,7 +305,7 @@ class TestRealAndComplexPaths:
         bounds_record(states, x, Observable("z", z.kets * 1j))
         assert seen and set(seen) == {np.dtype(complex)}
         seen.clear()
-        u = tensor_product(IDENTITY_2, np.diag([1.0, 1j]))
+        u = np.kron(np.eye(2), np.diag([1.0, 1j]))
         bounds_record(u @ states @ u.conj().T, x, z)
         assert seen and set(seen) == {np.dtype(complex)}
 
@@ -322,7 +319,7 @@ class TestRealAndComplexPaths:
     def test_complex_non_hermitian_member_rejected(self):
         # Hermitian in the real part, anti-Hermitian in the imaginary part
         stack = np.array([np.eye(4) / 4] * 3, dtype=complex)
-        stack[1] += 1e-6j * tensor_product(PAULI_X, IDENTITY_2)
+        stack[1] += 1e-6j * np.kron([[0, 1], [1, 0]], np.eye(2))
         with pytest.raises(ValueError, match="Hermitian"):
             bounds_record(stack, pauli_x(), pauli_z())
 

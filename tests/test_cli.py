@@ -122,6 +122,19 @@ def test_oracle_bad_discrete_modes_exits_1(tmp_path, capsys, modes):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["sweep", "oracle"])
+def test_qubit_count_too_large_for_a_float_exits_1(tmp_path, capsys, command):
+    # 10**400 written out in digits used to end in an OverflowError traceback
+    path = tmp_path / "huge.cfg"
+    path.write_text(TINY_CONFIG.replace("n_qubits_list = 1", f"n_qubits_list = 1, {10**400}"))
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "sweep" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: n_qubits must be an integer in [1, 2**53]")
+    assert captured.out == "" and not out.exists()
+
+
 def test_oracle_narrow_window_warns(tmp_path, capsys):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CONFIG)

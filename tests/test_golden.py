@@ -32,7 +32,6 @@ import pytest
 
 from eulb.bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
-from eulb.linalg import IDENTITY_2, tensor_product
 from eulb.sweep import figure_preset, run_sweep
 
 GOLDEN = Path(__file__).with_name("golden") / "ledger.csv"
@@ -42,7 +41,7 @@ MPMATH_ATOL = 1e-14
 # LAPACK's complex solver is off the 40-digit spectra by more than the real
 # one near a vanishing eigenvalue (9.3e-15 on berta at worst)
 MPMATH_COMPLEX_ATOL = 2e-14
-B_PHASE = tensor_product(IDENTITY_2, np.diag([1.0, np.exp(2j)]))
+B_PHASE = np.kron(np.eye(2), np.diag([1.0, np.exp(2j)]))
 STEPS = 51
 FIELDS = [f.name for f in dataclasses.fields(BoundsRecord)]
 MPMATH_FIELDS = FIELDS[2:]  # the ledger, without t and amplitude

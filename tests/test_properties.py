@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import partial_trace, post_measurement_state
 from eulb.audit import _evolved
 from eulb.bounds import (
     BoundsRecord,
@@ -23,10 +24,9 @@ from eulb.bounds import (
     complementarity,
     pauli_x,
     pauli_z,
-    post_measurement_state,
 )
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
-from eulb.linalg import partial_trace, tensor_product, von_neumann_entropy
+from eulb.linalg import von_neumann_entropy
 
 TOL = 1e-9
 _unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -96,7 +96,7 @@ def test_channel_is_cptp(c, excited):
     assert np.max(np.abs(partial_trace(choi, "A") - np.eye(2))) <= 1e-12
 
 
-_FLIP_B = tensor_product(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+_FLIP_B = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -112,7 +112,7 @@ def test_excited_label_one_is_flip_conjugated_channel(rho, c):
 def test_ledger_invariant_under_unitary_on_memory(rho, u):
     # every ledger field is a function of entropies conditioned on B or of
     # S(B) itself, so a basis change on the memory leaves all of them alone
-    local = tensor_product(np.eye(2), u)
+    local = np.kron(np.eye(2), u)
     moved = local @ rho @ local.conj().T
     x, z = pauli_x(), pauli_z()
     before, after = bounds_record(rho, x, z), bounds_record(moved, x, z)

@@ -39,14 +39,18 @@ class TestParams:
         with pytest.raises(ValueError, match="n_qubits"):
             ReservoirParams(1.0, 1.0, 0)
 
-    @pytest.mark.parametrize("bad", [2.0, True, np.bool_(True)])
+    @pytest.mark.parametrize(
+        "bad", [2.0, True, np.bool_(True), 2**53 + 1, pytest.param(10**400, id="10**400")]
+    )
     def test_rejects_non_integer_qubit_count(self, bad):
-        # 2.0 used to pass and then fail inside np.zeros in the discrete oracle
+        # 2.0 used to pass and then fail inside np.zeros in the discrete oracle;
+        # 10**400 raised OverflowError inside decay_amplitude
         with pytest.raises(ValueError, match="n_qubits"):
             ReservoirParams(1.0, 1.0, bad)
 
     def test_accepts_numpy_integer_qubit_count(self):
         assert ReservoirParams(1.0, 1.0, np.int64(3)).n_qubits == 3
+        assert ReservoirParams(1.0, 1.0, np.int64(2**53)).n_qubits == 2**53
 
     @pytest.mark.parametrize("bad", [True, np.True_, "5", None])
     @pytest.mark.parametrize("name", ["gamma0", "lambda_"])
@@ -311,8 +315,10 @@ class TestDiscreteModeOracle:
         assert traj.max_norm_error is not None and traj.max_norm_error <= 1e-8
         assert not traj.window_warning
 
-    def test_qubit_count_bounded_before_allocation(self):
-        # N + n_modes amplitudes: 10^12 qubits must be refused, not allocated
+    def test_qubit_count_bounded_for_run_time(self):
+        # the vector has 1 + n_modes entries for any N, but the half-width a
+        # includes sqrt(N) ||g||, so the step count grows as sqrt(N): 10^12
+        # qubits must be refused before the first step
         params = ReservoirParams(1.0, 1.0, 10**12)
         grid = build_mode_grid(params, 20, 10.0)
         with pytest.raises(ValueError, match="n_qubits"):

@@ -373,7 +373,7 @@ class TestOracleReport:
             t_max_gamma0=2.0,
             steps=41,
         )
-        report = oracle_report(cfg, include_discrete=True, n_modes=400, window_over_lambda=15.0)
+        report = oracle_report(cfg, n_modes=400, window_over_lambda=15.0)
         assert report.passed
         assert len(report.discrete) == 1
         assert report.discrete[0].max_deviation <= 5e-3
@@ -388,8 +388,8 @@ class TestOracleReport:
             t_max_gamma0=0.5,
             steps=6,
         )
-        wide = oracle_report(cfg, include_discrete=True, n_modes=100, window_over_lambda=15.0)
-        narrow = oracle_report(cfg, include_discrete=True, n_modes=100, window_over_lambda=5.0)
+        wide = oracle_report(cfg, n_modes=100, window_over_lambda=15.0)
+        narrow = oracle_report(cfg, n_modes=100, window_over_lambda=5.0)
         assert not wide.discrete_window_warning and "warning" not in wide.render()
         assert narrow.discrete_window_warning
         lines = narrow.render().splitlines()
@@ -405,9 +405,9 @@ class TestOracleReport:
             t_max_gamma0=16.0,
             steps=5,
         )
-        late = oracle_report(cfg, include_discrete=True, n_modes=100)
+        late = oracle_report(cfg, n_modes=100)
         early_cfg = dataclasses.replace(cfg, t_max_gamma0=15.0)
-        early = oracle_report(early_cfg, include_discrete=True, n_modes=100)
+        early = oracle_report(early_cfg, n_modes=100)
         assert not early.discrete_recurrence_warning and "warning" not in early.render()
         assert late.discrete_recurrence_warning and not late.discrete_window_warning
         lines = late.render().splitlines()
