@@ -41,6 +41,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _add_source(command: argparse.ArgumentParser) -> None:
+    source = command.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fig", type=int, choices=(2, 3, 4, 5), help="named preset")
+    source.add_argument("--config", type=str, help="path to a key-value config file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="eulb",
@@ -50,13 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a sweep and write deterministic CSV")
-    source = sweep.add_mutually_exclusive_group(required=True)
-    source.add_argument("--fig", type=int, choices=(2, 3, 4, 5), help="named preset")
-    source.add_argument("--config", type=str, help="path to a key-value config file")
+    _add_source(sweep)
     sweep.add_argument("--out", type=str, required=True, help="output CSV path")
 
     oracle = sub.add_parser("oracle", help="validate the decay amplitude against oracles")
-    oracle.add_argument("--config", type=str, required=True, help="path to a config file")
+    _add_source(oracle)
     oracle.add_argument(
         "--discrete-modes",
         type=int,

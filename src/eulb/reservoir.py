@@ -20,9 +20,10 @@ reservoir modes.  The kernel ODE is a 2x2 system: per distinct grid
 interval a truncated Taylor series of exp(A h), h <= 2 / ||A||, raised to
 the interval's step count gives its propagator, and a prefix scan composes
 the intervals over the whole grid at once, in log2 K rounds and O(K)
-memory for K grid points.  The discrete modes are propagated in the
-symmetric sector (the qubit sum and the modes) with a Chebyshev expansion
-of exp(-iHh), whose long steps each cover many grid points.
+memory for K grid points.  The discrete modes are handled in the
+symmetric sector (the qubit sum and the modes): one real Chebyshev moment
+recurrence and a quadrature at Chebyshev nodes give every grid time at
+once.
 """
 
 from __future__ import annotations
@@ -42,21 +43,18 @@ _TAYLOR_THETA = 2.0
 _TAYLOR_TOL = 1e-16
 _TAYLOR_MAX_TERMS = 40
 
-# Discrete-mode propagator: a Chebyshev expansion of exp(-iHh) (Tal-Ezer &
-# Kosloff, J. Chem. Phys. 81, 3967 (1984)) with the spectrum of H inside an
-# interval of half-width a.  Its terms are bounded by |J_k(a h)|, so a step of
-# any length sums without cancellation; one step spans a h <= _CHEBYSHEV_THETA,
-# at most about a h + 55 terms.  Shorter steps add more steps' roundoff, longer
-# ones more terms': on the dense-eigh tests a h <= 16, 64 and 256 gave norm
-# errors up to 5.6e-13, 1.4e-13 and 6.1e-13.  The series is cut at the first
-# k > a h with |J_k| <= 1e-16.  A cut at 1e-17 lies in the noise of the FFT
-# that computes J_k, so where it falls is noise: at a h = 56 it kept 124
-# terms, more than the 118 kept at a h = 64.
-_CHEBYSHEV_THETA = 64.0
+# Discrete-mode oracle: Chebyshev moments of the normalised Hamiltonian
+# (Weisse, Wellein, Alvermann & Fehske, Rev. Mod. Phys. 78, 275 (2006)),
+# kept up to the first k > a t_max with |J_k(a t_max)| <= 1e-16.  A cut at
+# 1e-17 lies in the noise of the FFT that computes J_k, so where it falls is
+# noise: at a t = 56 it kept 124 terms, more than the 118 kept at a t = 64.
 _CHEBYSHEV_TOL = 1e-16
+# a t_max is at most 10^6: the cut's FFT then has ~3 * 10^6 complex samples
+# (48 MB), and the recurrence takes ~10^6 products with H.
+_MAX_PHASE = 1e6
 
-# One amplitude vector of 10^6 modes is 16 MB of complex128; the propagator
-# holds a few of them.
+# One vector of 10^6 modes is 8 MB of float64; the moment recurrence holds
+# five: three buffers, the diagonal and the arm.
 _MAX_MODES = 1_000_000
 
 
@@ -95,6 +93,16 @@ class ReservoirParams:
         # int-to-float conversions overflow (N = 10^308: OverflowError)
         if not _is_int(self.n_qubits) or not 1 <= self.n_qubits <= 2**53:
             raise ValueError(f"n_qubits must be an integer in [1, 2**53], got {self.n_qubits}")
+        # decay_amplitude and kernel_ode_oracle form lambda (lambda - 2 N
+        # gamma0), N gamma0 lambda and gamma0 lambda / 2 + lambda, which are
+        # finite while this product is; past the float range they overflow
+        # (lambda = 1e300 gamma0: NaN amplitudes, ZeroDivisionError)
+        lam = float(self.lambda_)
+        if not math.isfinite(lam * max(lam, 2.0 * float(self.n_qubits) * float(self.gamma0))):
+            raise ValueError(
+                f"lambda_ * max(lambda_, 2 n_qubits gamma0) must be finite, got lambda_ = "
+                f"{self.lambda_}, gamma0 = {self.gamma0}, n_qubits = {self.n_qubits}"
+            )
 
 
 @dataclass
@@ -292,17 +300,15 @@ def _bessel_series(x: float) -> np.ndarray:
     """J_0(x), ..., J_{K-1}(x) for x >= 0, cut at the first K > x with |J_K(x)| <= 1e-16.
 
     By Jacobi-Anger, exp(i x sin tau) = sum_k J_k(x) exp(i k tau), so one FFT
-    of P samples gives every J_k.  P is the power of two >= 3x + 256: the cut
-    lies near x + 14 x^(1/3), well below P / 2, so the aliases J_{k-P} that
-    share a bin with J_k are far below 1e-16 (at P >= 2x + 256 there is no cut
-    below P / 2 near x = 1920).  Each J_k carries an absolute error of about
-    x * 1e-16 from the rounded phase x sin(tau).  Raises RuntimeError if no
-    cut exists, as for a non-finite x.
+    of P samples gives every J_k.  P is the multiple of 512 >= 3x + 256: the
+    cut lies near x + 14 x^(1/3), well below P / 2, so the aliases J_{k-P}
+    that share a bin with J_k are far below 1e-16 (at P >= 2x + 256 there is
+    no cut below P / 2 near x = 1920).  Each J_k carries an absolute error of
+    about x * 1e-16 from the rounded phase x sin(tau).  Raises RuntimeError if
+    no cut exists, as for a non-finite x.
     """
     if math.isfinite(x):
-        size = 256
-        while size < 3.0 * x + 256.0:
-            size *= 2
+        size = 512 * math.ceil((3.0 * x + 256.0) / 512.0)
         # one expression, so the arrays of tau and sin(tau) are freed before the FFT
         samples = np.exp(1j * x * np.sin(np.arange(size) * (2.0 * math.pi / size)))
         bessel = (np.fft.fft(samples)[: size // 2] / size).real
@@ -310,29 +316,11 @@ def _bessel_series(x: float) -> np.ndarray:
         cut = np.flatnonzero(np.abs(bessel[first:]) <= _CHEBYSHEV_TOL)
         if cut.size:
             return bessel[: first + cut[0]]
-    raise RuntimeError(f"Chebyshev series of exp(-iHh) has no cut at a h = {x!r}")
-
-
-_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
-
-
-def _chebyshev_coefficients(half_width: float, centre: float, h: float) -> np.ndarray:
-    """c_k with exp(-iHh) = sum_k c_k T_k((H - centre) / half_width).
-
-    c_k = (2 - delta_k0) (-i)^k J_k(half_width h) exp(-i centre h), cut as in
-    _bessel_series.
-    """
-    bessel = _bessel_series(half_width * h)
-    coeffs = 2.0 * bessel * _MINUS_I_POWERS[np.arange(bessel.size) % 4]
-    coeffs[0] = bessel[0]
-    return coeffs * cmath.exp(-1j * centre * h)
+    raise RuntimeError(f"Chebyshev series of exp(-iHt) has no cut at a t = {x!r}")
 
 
 def discrete_mode_oracle(
-    params: ReservoirParams,
-    t_grid,
-    mode_grid: ModeGrid,
-    max_step: float | None = None,
+    params: ReservoirParams, t_grid, mode_grid: ModeGrid
 ) -> AmplitudeTrajectory:
     """Brute-force single-excitation dynamics with explicitly sampled modes.
 
@@ -341,32 +329,38 @@ def discrete_mode_oracle(
     picture), drives every qubit alike, so amplitude differences are
     conserved and only the symmetric sector moves: the vector
     (s, sqrt(N) b_1..b_M), with s the sum of the qubit amplitudes, evolves
-    under the Hermitian arrow matrix with mode frequencies f on the diagonal
-    and couplings sqrt(N) g to s, from s(0) = 1; the initially excited qubit
-    has C(t) = (N - 1 + s(t)) / N.
+    under the real symmetric arrow matrix H with mode frequencies f on the
+    diagonal and couplings sqrt(N) g to s, from s(0) = 1; the initially
+    excited qubit has C(t) = (N - 1 + s(t)) / N.
 
-    The propagator is a Chebyshev expansion of exp(-iHh) over the spectral
-    interval [centre - a, centre + a], centre = (f_min + f_max) / 2,
-    a = (f_max - f_min) / 2 + sqrt(N) ||g||.  One step runs the three-term
-    recurrence once and covers every grid point within 64 / a (and
-    max_step, if given) of its start: the grid points inside the step read
-    s from the first component of each stored term, and the full vector is
-    summed only at the step's end.  A grid interval longer than that cap is
-    cut into equal substeps.  The norm of the vector, 1 in exact arithmetic,
-    is checked at every step end, not at every grid point; the largest
-    |norm^2 - 1| is reported as max_norm_error.
+    s(t) = <e0|exp(-iHt)|e0> depends on H only through the Chebyshev moments
+    mu_k = <e0|T_k(H~)|e0> of H~ = (H - centre) / a, centre = (f_min +
+    f_max) / 2, a = (f_max - f_min) / 2 + sqrt(N) ||g||, whose spectrum lies
+    in [-1, 1].  One real three-term recurrence phi_{k+1} = 2 H~ phi_k -
+    phi_{k-1} from phi_0 = e0 gives mu_k = phi_k[0] for k < K, where K is
+    the cut of the Bessel series J_k(a t_max) at 1e-16: the expansion of
+    exp(-iHt) in T_k(H~) has terms bounded by |J_k(a t)|, so no moment past
+    K matters for t <= t_max.  One real FFT samples the spectral density
+    sum_k (2 - delta_k0) mu_k T_k at the K + 1 Chebyshev nodes
+    E_p = centre + a cos(pi p / K), giving trapezoid weights w_p with
+    Re s(t) = sum_p w_p cos(t E_p) at every grid time.  The rule is exact
+    because the integrand's bandwidth stays below 2K.  Memory is O(M + K).
+
+    The norm identity ||T_k(H~) e0||^2 = (1 + mu_{2k}) / 2 checks every
+    Chebyshev vector with 2k < K; the largest |2 ||phi_k||^2 - 1 - mu_{2k}|
+    is reported as max_norm_error.
 
     Converges to the closed form as n_modes and window grow; a window
     narrower than 10 * lambda sets a warning flag on the trajectory, and so
     does a grid reaching the recurrence time pi * n_modes / window (2 pi over
     the mode spacing), after which the discretized reservoir returns its
-    excitation.  N is at most 10^6, which caps the run time, not memory.
+    excitation.  N and a t_max are each at most 10^6, checked before
+    anything is allocated.
     """
     grid = _validate_grid(t_grid)
     n = params.n_qubits
     # The vector has 1 + n_modes entries for any N, so this cap bounds no
-    # allocation.  It bounds the run time: the step count t_max a / 64 grows
-    # as sqrt(N) through a.
+    # allocation.  It bounds the run time: K grows as sqrt(N) through a.
     if n > 1_000_000:
         raise ValueError(f"n_qubits must be at most 10^6 for the discrete-mode oracle, got {n}")
     freqs = mode_grid.frequencies
@@ -374,78 +368,56 @@ def discrete_mode_oracle(
     f_min, f_max = float(freqs.min()), float(freqs.max())
     centre = 0.5 * (f_min + f_max)
     half_width = 0.5 * (f_max - f_min) + float(np.linalg.norm(coupling))
-    h_max = _step_cap(_CHEBYSHEV_THETA / half_width, max_step)
+    phase = half_width * float(grid[-1])
+    if not phase <= _MAX_PHASE:
+        raise ValueError(
+            f"a t_max must be at most {_MAX_PHASE:g} for the discrete-mode oracle, got {phase:.6g}"
+        )
+    n_moments = _bessel_series(phase).size
 
-    # 2 (H - centre) / half_width as arrow-matrix parts: the head's diagonal,
-    # the modes' diagonal and the arm that couples them.  The real parts are
-    # held as complex arrays: numpy multiplies complex by complex faster than
-    # it casts real to complex, and the dot product needs no cast per term.
+    # 2 H~ as arrow-matrix parts: the head's diagonal, the modes' diagonal
+    # and the arm that couples them.  Each phi_k keeps its head entry apart,
+    # as a float, from its mode entries.
     head = -2.0 * centre / half_width
-    diag = ((2.0 / half_width) * (freqs - centre)).astype(complex)
-    arm = ((2.0 / half_width) * coupling).astype(complex)
+    diag = (2.0 / half_width) * (freqs - centre)
+    arm = (2.0 / half_width) * coupling
+    prev, prev_head = np.zeros(mode_grid.n_modes), 1.0  # phi_0 = e0
+    cur, cur_head = 0.5 * arm, 0.5 * head  # phi_1 = H~ e0
+    scratch = np.empty(mode_grid.n_modes)
+    moments = np.empty(n_moments + 1)  # mu_0, mu_1 even when K = 1
+    norms = np.empty((n_moments + 1) // 2)  # ||phi_k||^2 for 2k < K
+    moments[0], moments[1], norms[0] = 1.0, cur_head, 1.0
+    for k in range(1, n_moments - 1):
+        if k < norms.size:
+            norms[k] = cur_head * cur_head + cur @ cur
+        # prev <- 2 H~ cur - prev = phi_{k+1}
+        np.multiply(arm, cur_head, out=scratch)
+        np.subtract(scratch, prev, out=prev)
+        np.multiply(diag, cur, out=scratch)
+        prev += scratch
+        prev_head = head * cur_head + arm @ cur - prev_head
+        prev, cur, prev_head, cur_head = cur, prev, cur_head, prev_head
+        moments[k + 1] = cur_head
+    moments = moments[:n_moments]
+    norm_defect = np.abs(2.0 * norms - 1.0 - moments[: 2 * norms.size : 2])
 
-    size = 1 + mode_grid.n_modes
-    y = np.zeros(size, dtype=complex)
-    y[0] = 1.0
-    # each buffer with its view past the head, sliced once per call
-    buffers = [(b, b[1:]) for b in np.empty((3, size), dtype=complex)]
-    scratch = np.empty(size, dtype=complex)
-    scratch_tail = scratch[1:]
-
-    def step(y: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """y <- sum_k coeffs[k] T_k y in place; returns the first component of each T_k y."""
-        (prev, prev_tail), (cur, cur_tail), (nxt, nxt_tail) = buffers
-        c = coeffs.tolist()
-        np.copyto(cur, y)
-        v0 = cur[0]
-        heads = [v0]
-        y *= c[0]
-        for k in range(1, len(c)):
-            # nxt = 2 H~ cur
-            np.multiply(diag, cur_tail, out=nxt_tail)
-            np.multiply(arm, v0, out=scratch_tail)
-            nxt_tail += scratch_tail
-            nxt[0] = head * v0 + arm @ cur_tail
-            if k == 1:
-                nxt *= 0.5  # T_1 y = H~ y
-            else:
-                nxt -= prev  # T_k y = 2 H~ T_{k-1} y - T_{k-2} y
-            prev, cur, nxt = cur, nxt, prev
-            prev_tail, cur_tail, nxt_tail = cur_tail, nxt_tail, prev_tail
-            v0 = cur[0]
-            heads.append(v0)
-            np.multiply(cur, c[k], out=scratch)
-            y += scratch
-        return np.array(heads)
-
+    # trapezoid weights at the nodes theta_p = pi p / K, p = 0..K
+    moments[1:] *= 2.0
+    weights = np.fft.rfft(moments, 2 * n_moments).real / n_moments
+    weights[[0, -1]] *= 0.5
+    energies = centre + half_width * np.cos((math.pi / n_moments) * np.arange(n_moments + 1))
+    phases = np.empty_like(energies)
     sums = np.empty(grid.size)
-    max_norm_error = 0.0
-    t_prev = 0.0
-    idx = 0
+    for i, t in enumerate(grid.tolist()):
+        np.multiply(energies, t, out=phases)
+        np.cos(phases, out=phases)
+        sums[i] = weights @ phases
     if grid[0] == 0.0:
-        sums[0] = 1.0
-        idx = 1
-    while idx < grid.size:
-        span = float(grid[idx]) - t_prev
-        if span > h_max:  # one long interval, cut into equal substeps
-            end, substeps = idx, math.ceil(span / h_max)
-        else:  # one step to the last grid point within h_max
-            end = max(idx, int(np.searchsorted(grid, t_prev + h_max, side="right")) - 1)
-            substeps = 1
-        coeffs = _chebyshev_coefficients(half_width, centre, (float(grid[end]) - t_prev) / substeps)
-        for _ in range(substeps):
-            heads = step(y, coeffs)
-            max_norm_error = max(max_norm_error, abs(float(np.vdot(y, y).real) - 1.0))
-        for i in range(idx, end):  # grid points inside the step
-            coeffs = _chebyshev_coefficients(half_width, centre, float(grid[i]) - t_prev)[: heads.size]
-            sums[i] = (coeffs @ heads[: coeffs.size]).real
-        sums[end] = y[0].real
-        t_prev = float(grid[end])
-        idx = end + 1
+        sums[0] = 1.0  # s(0) = 1 exactly
     return AmplitudeTrajectory(
         times=params.gamma0 * grid,
         amplitudes=((n - 1.0) + sums) / n,
         window_warning=mode_grid.window < 10.0 * params.lambda_,
         recurrence_warning=float(grid[-1]) >= mode_grid.recurrence_time,
-        max_norm_error=max_norm_error,
+        max_norm_error=float(norm_defect.max()),
     )

@@ -46,6 +46,21 @@ def test_oracle_pass(config_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_oracle_preset_matches_its_config(tmp_path, capsys):
+    path = tmp_path / "fig3.cfg"
+    path.write_text(eulb.format_config(eulb.figure_preset(3)))
+    assert main(["oracle", "--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["oracle", "--fig", "3"]) == 0
+    assert capsys.readouterr().out == from_config and "lambda/gamma0 = 40" in from_config
+
+
+@pytest.mark.parametrize("source", [[], ["--fig", "3", "--config", "x.cfg"], ["--fig", "7"]])
+def test_oracle_needs_one_source(source, capsys):
+    assert main(["oracle", *source]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_closed(config_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
@@ -132,6 +147,20 @@ def test_qubit_count_too_large_for_a_float_exits_1(tmp_path, capsys, command):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: n_qubits must be an integer in [1, 2**53]")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "oracle"])
+def test_rate_that_overflows_exits_1(tmp_path, capsys, command):
+    # lambda = 1e300 gamma0 overflowed lambda^2: sweep failed on a NaN
+    # amplitude with a misleading message, and oracle printed nan ... FAIL
+    path = tmp_path / "huge.cfg"
+    path.write_text(TINY_CONFIG.replace("lambda_over_gamma0 = 1.0", "lambda_over_gamma0 = 1e300"))
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "sweep" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: lambda_ * max(lambda_, 2 n_qubits gamma0)")
     assert captured.out == "" and not out.exists()
 
 
