@@ -16,14 +16,9 @@ monotonically.  decay_amplitude evaluates one cancellation-free
 rewrite of the formula for every coupling.  Two independent numerical
 routes validate it: an exact local ODE reformulation of the memory-kernel
 dynamics, and a brute-force simulation with explicitly discretized
-reservoir modes.  The kernel ODE is a 2x2 system: per distinct grid
-interval a truncated Taylor series of exp(A h), h <= 2 / ||A||, raised to
-the interval's step count gives its propagator, and a prefix scan composes
-the intervals over the whole grid at once, in log2 K rounds and O(K)
-memory for K grid points.  The discrete modes are handled in the
-symmetric sector (the qubit sum and the modes): one real Chebyshev moment
-recurrence and a quadrature at Chebyshev nodes give every grid time at
-once.
+reservoir modes.  Each gives every grid time at once: the kernel ODE, a
+2x2 system, from one batched Taylor series and a prefix scan; the modes,
+in the symmetric sector, from Chebyshev moments, two per recurrence vector.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ _CHEBYSHEV_TOL = 1e-16
 _MAX_PHASE = 1e6
 
 # One vector of 10^6 modes is 8 MB of float64; the moment recurrence holds
-# five: three buffers, the diagonal and the arm.
+# five: a (3, M) buffer (the arm and two vectors), the diagonal and scratch.
 _MAX_MODES = 1_000_000
 
 
@@ -181,22 +176,6 @@ def _validate_grid(t_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _taylor_increment(apply, y: np.ndarray, h: float, out: np.ndarray) -> None:
-    """Add sum_{k >= 1} h^k A^k y / k! = (exp(A h) - I) y into out; apply(v) = A v.
-
-    Terms are summed until ||term||^2 <= (1e-16)^2 ||y||^2.  out may be y
-    itself: y is read only before the first addition.
-    """
-    tol_sq = _TAYLOR_TOL**2 * np.vdot(y, y).real
-    term = y
-    for k in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = apply(term) * (h / k)
-        out += term
-        if np.vdot(term, term).real <= tol_sq:
-            return
-    raise RuntimeError(f"Taylor series of exp(Ah) did not converge in {_TAYLOR_MAX_TERMS} terms")
-
-
 def _step_cap(h_max: float, max_step: float | None) -> float:
     """The propagator's longest step h_max, capped further by a valid max_step."""
     if max_step is not None:
@@ -250,14 +229,16 @@ def kernel_ode_oracle(
     conserved, so the initially excited qubit has C(t) = (N - 1 + s(t)) / N.
     Each grid interval (the first from t = 0) is cut into equal steps
     h <= 2 / ||A||, with the infinity norm ||A|| = max(N, gamma0 lambda / 2
-    + lambda); max_step, if given, only caps h further.  Per distinct
-    interval length the Taylor series gives Q = exp(A h) - I once, raised to
-    the interval's step count by repeated squaring.  An inclusive
-    Hillis-Steele scan then composes the K intervals' propagators in
-    ceil(log2 K) rounds over (4, K) rows, in memory O(K).  Every product is
-    taken in increment form, (I + a)(I + b) - I = a + b + ab, so I + Q is
-    never formed: it would round away the digits of Q below 1e-16.  The
-    scan's (s, s) entry q_ss gives C = (N + q_ss) / N.
+    + lambda); max_step, if given, only caps h further.  One Taylor series
+    over the (J, 2, 2) stack of the J distinct interval lengths gives every
+    Q = exp(A h) - I at once, each raised to its interval's step count by
+    repeated squaring.  An inclusive Hillis-Steele scan then composes the K
+    intervals' propagators in ceil(log2 K) rounds over (4, K) rows, in
+    memory O(K).  Every product is taken in increment form, (I + a)(I + b)
+    - I = a + b + ab, so I + Q, which would round away the digits of Q
+    below 1e-16, is never formed.  The scan's (s, s) entry q_ss gives
+    C = (N + q_ss) / N.  A step count past the float range, or a C that
+    repeated squaring overflowed (||A|| t far beyond 1/eps), raises ValueError.
     """
     grid = _validate_grid(t_grid)
     n = float(params.n_qubits)
@@ -267,18 +248,33 @@ def kernel_ode_oracle(
     a = np.array([[0.0, -n], [k, -lam]])
 
     spans, interval = np.unique(np.diff(grid, prepend=0.0), return_inverse=True)
+    if not math.isfinite(float(spans[-1]) / h_max):  # np.unique sorts ascending, NaN last
+        raise ValueError(f"grid span {spans[-1]:g} needs over 1e308 steps of h <= {h_max!r}")
+    substeps = np.maximum(1.0, np.ceil(spans / h_max))
+    # each span's terms are summed until ||term||^2 <= (1e-16)^2 ||I||^2, then scaled by 0
+    step = spans / substeps
+    term = np.broadcast_to(np.eye(2), (spans.size, 2, 2))
+    q = np.zeros((spans.size, 2, 2))
+    for order in range(1, _TAYLOR_MAX_TERMS + 1):
+        term = np.matmul(a, term) * (step / order)[:, None, None]
+        q += term
+        step[np.einsum("jab,jab->j", term, term) <= 2.0 * _TAYLOR_TOL**2] = 0.0
+        if not step.any():
+            break
+    else:
+        raise RuntimeError(f"Taylor series of exp(Ah) did not converge in {_TAYLOR_MAX_TERMS} terms")
     increments = np.empty((4, spans.size))
-    for j, span in enumerate(spans.tolist()):
-        substeps = max(1, math.ceil(span / h_max))
-        q = np.zeros((2, 2))
-        _taylor_increment(a.dot, np.eye(2), span / substeps, q)
-        increments[:, j] = _power_increment(q.ravel().tolist(), substeps)
+    for j, m in enumerate(substeps.tolist()):
+        increments[:, j] = _power_increment(q[j].ravel().tolist(), int(m))
     scan = increments[:, interval]
     shift = 1
     while shift < grid.size:
         scan[:, shift:] = _compose(scan[:, shift:], scan[:, :-shift])
         shift *= 2
-    return AmplitudeTrajectory(times=params.gamma0 * grid, amplitudes=(n + scan[0]) / n)
+    amplitudes = (n + scan[0]) / n
+    if not np.isfinite(amplitudes).all():
+        raise ValueError(f"kernel ODE oracle overflowed to a non-finite amplitude at {params}")
+    return AmplitudeTrajectory(times=params.gamma0 * grid, amplitudes=amplitudes)
 
 
 def build_mode_grid(params: ReservoirParams, n_modes: int, window: float) -> ModeGrid:
@@ -319,6 +315,42 @@ def _bessel_series(x: float) -> np.ndarray:
     raise RuntimeError(f"Chebyshev series of exp(-iHt) has no cut at a t = {x!r}")
 
 
+def _chebyshev_moments(freqs, coupling, centre: float, half_width: float, n_moments: int):
+    """mu_0..mu_{K-1}, K = n_moments, of H~ = (H - centre) / half_width, and a check.
+
+    H is the arrow matrix with 0 at the head, freqs on the diagonal and
+    coupling as the arm.  buf holds the arm and the mode parts of phi_{k-1}
+    and phi_k; once phi_{k+1} is formed in place, buf @ phi_k gives arm .
+    phi_k (for the head of phi_{k+1}), <phi_{k+1}|phi_k> and <phi_k|phi_k>.
+    """
+    steps = (n_moments + 1) // 2
+    buf = np.zeros((3, freqs.size))
+    arm, prev, cur = buf  # phi_0 = e0 and phi_1 = H~ e0 off the head
+    np.multiply(coupling, 2.0 / half_width, out=arm)
+    np.multiply(arm, 0.5, out=cur)
+    diag = (2.0 / half_width) * (freqs - centre)
+    scratch = np.empty(freqs.size)
+    head = -2.0 * centre / half_width
+    mu_1 = 0.5 * head
+    heads = np.empty(steps + 1)
+    moments = np.empty(2 * steps)  # mu_0 and mu_1 even when K = 1
+    heads[:2] = moments[:2] = 1.0, mu_1
+    prev_head, cur_head, prev_row = 1.0, mu_1, 1  # prev is buf[prev_row], cur the other row
+    for k in range(1, steps):
+        # prev <- 2 H~ cur - prev = phi_{k+1}
+        np.multiply(arm, cur_head, out=scratch)
+        np.subtract(scratch, prev, out=prev)
+        np.multiply(diag, cur, out=scratch)
+        prev += scratch
+        dots = (buf @ cur).tolist()  # arm . cur, then buf[1] . cur and buf[2] . cur
+        next_head = head * cur_head + dots[0] - prev_head
+        moments[2 * k] = 2.0 * (cur_head * cur_head + dots[3 - prev_row]) - 1.0
+        moments[2 * k + 1] = 2.0 * (next_head * cur_head + dots[prev_row]) - mu_1
+        heads[k + 1] = next_head
+        prev, cur, prev_head, cur_head, prev_row = cur, prev, cur_head, next_head, 3 - prev_row
+    return moments[:n_moments], float(np.max(np.abs(heads - moments[: steps + 1])))
+
+
 def discrete_mode_oracle(
     params: ReservoirParams, t_grid, mode_grid: ModeGrid
 ) -> AmplitudeTrajectory:
@@ -336,19 +368,20 @@ def discrete_mode_oracle(
     s(t) = <e0|exp(-iHt)|e0> depends on H only through the Chebyshev moments
     mu_k = <e0|T_k(H~)|e0> of H~ = (H - centre) / a, centre = (f_min +
     f_max) / 2, a = (f_max - f_min) / 2 + sqrt(N) ||g||, whose spectrum lies
-    in [-1, 1].  One real three-term recurrence phi_{k+1} = 2 H~ phi_k -
-    phi_{k-1} from phi_0 = e0 gives mu_k = phi_k[0] for k < K, where K is
-    the cut of the Bessel series J_k(a t_max) at 1e-16: the expansion of
-    exp(-iHt) in T_k(H~) has terms bounded by |J_k(a t)|, so no moment past
-    K matters for t <= t_max.  One real FFT samples the spectral density
-    sum_k (2 - delta_k0) mu_k T_k at the K + 1 Chebyshev nodes
-    E_p = centre + a cos(pi p / K), giving trapezoid weights w_p with
-    Re s(t) = sum_p w_p cos(t E_p) at every grid time.  The rule is exact
-    because the integrand's bandwidth stays below 2K.  Memory is O(M + K).
-
-    The norm identity ||T_k(H~) e0||^2 = (1 + mu_{2k}) / 2 checks every
-    Chebyshev vector with 2k < K; the largest |2 ||phi_k||^2 - 1 - mu_{2k}|
-    is reported as max_norm_error.
+    in [-1, 1].  A real three-term recurrence phi_{k+1} = 2 H~ phi_k -
+    phi_{k-1} from phi_0 = e0 gives mu_k for k < K, K the cut of the Bessel
+    series J_k(a t_max) at 1e-16: the expansion of exp(-iHt) in T_k(H~) has
+    terms bounded by |J_k(a t)|, so no moment past K matters for t <= t_max.
+    Each vector gives two moments, mu_{2k} = 2 <phi_k|phi_k> - mu_0 and
+    mu_{2k+1} = 2 <phi_{k+1}|phi_k> - mu_1 (Weisse et al.), so the
+    recurrence stops at phi_{ceil(K/2)}, five numpy calls per vector.  One
+    real FFT samples the spectral density sum_k (2 - delta_k0) mu_k T_k at
+    the K + 1 Chebyshev nodes E_p = centre + a cos(pi p / K), giving
+    trapezoid weights w_p with Re s(t) = sum_p w_p cos(t E_p) at every grid
+    time; the rule is exact because the integrand's bandwidth stays below
+    2K.  Memory is O(M + K).  The head entry phi_k[0] is mu_k as well, and
+    the largest |phi_k[0] - mu_k| over the vectors formed, which checks the
+    doubled moments, is reported as max_norm_error.
 
     Converges to the closed form as n_modes and window grow; a window
     narrower than 10 * lambda sets a warning flag on the trajectory, and so
@@ -374,32 +407,7 @@ def discrete_mode_oracle(
             f"a t_max must be at most {_MAX_PHASE:g} for the discrete-mode oracle, got {phase:.6g}"
         )
     n_moments = _bessel_series(phase).size
-
-    # 2 H~ as arrow-matrix parts: the head's diagonal, the modes' diagonal
-    # and the arm that couples them.  Each phi_k keeps its head entry apart,
-    # as a float, from its mode entries.
-    head = -2.0 * centre / half_width
-    diag = (2.0 / half_width) * (freqs - centre)
-    arm = (2.0 / half_width) * coupling
-    prev, prev_head = np.zeros(mode_grid.n_modes), 1.0  # phi_0 = e0
-    cur, cur_head = 0.5 * arm, 0.5 * head  # phi_1 = H~ e0
-    scratch = np.empty(mode_grid.n_modes)
-    moments = np.empty(n_moments + 1)  # mu_0, mu_1 even when K = 1
-    norms = np.empty((n_moments + 1) // 2)  # ||phi_k||^2 for 2k < K
-    moments[0], moments[1], norms[0] = 1.0, cur_head, 1.0
-    for k in range(1, n_moments - 1):
-        if k < norms.size:
-            norms[k] = cur_head * cur_head + cur @ cur
-        # prev <- 2 H~ cur - prev = phi_{k+1}
-        np.multiply(arm, cur_head, out=scratch)
-        np.subtract(scratch, prev, out=prev)
-        np.multiply(diag, cur, out=scratch)
-        prev += scratch
-        prev_head = head * cur_head + arm @ cur - prev_head
-        prev, cur, prev_head, cur_head = cur, prev, cur_head, prev_head
-        moments[k + 1] = cur_head
-    moments = moments[:n_moments]
-    norm_defect = np.abs(2.0 * norms - 1.0 - moments[: 2 * norms.size : 2])
+    moments, head_error = _chebyshev_moments(freqs, coupling, centre, half_width, n_moments)
 
     # trapezoid weights at the nodes theta_p = pi p / K, p = 0..K
     moments[1:] *= 2.0
@@ -419,5 +427,5 @@ def discrete_mode_oracle(
         amplitudes=((n - 1.0) + sums) / n,
         window_warning=mode_grid.window < 10.0 * params.lambda_,
         recurrence_warning=float(grid[-1]) >= mode_grid.recurrence_time,
-        max_norm_error=float(norm_defect.max()),
+        max_norm_error=head_error,
     )

@@ -164,6 +164,20 @@ def test_rate_that_overflows_exits_1(tmp_path, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+def test_oracle_step_count_beyond_float_range_exits_1(tmp_path, capsys):
+    # span ||A|| / 2 overflows: the kernel ODE's step count used to end in an
+    # OverflowError traceback
+    path = tmp_path / "long.cfg"
+    path.write_text(
+        "state = max_entangled\nlambda_over_gamma0 = 1e-300\n"
+        "n_qubits_list = 9007199254740992\nt_max_gamma0 = 1e300\nsteps = 3\n"
+    )
+    assert main(["oracle", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: grid span 5e+299 needs over 1e308 steps")
+    assert captured.out == ""
+
+
 def test_oracle_narrow_window_warns(tmp_path, capsys):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CONFIG)

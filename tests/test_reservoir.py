@@ -11,6 +11,7 @@ import pytest
 from eulb.reservoir import (
     ReservoirParams,
     _bessel_series,
+    _chebyshev_moments,
     build_mode_grid,
     decay_amplitude,
     discrete_mode_oracle,
@@ -298,6 +299,25 @@ class TestKernelOdeTaylorPropagation:
         traj = kernel_ode_oracle(params, t)
         assert np.max(np.abs(traj.amplitudes - decay_amplitude(params, t))) <= 1e-13
 
+    @pytest.mark.parametrize("t", [[0.0, 5e299, 1e300], [0.0, np.inf]])
+    def test_step_count_beyond_float_range_rejected(self, t):
+        # h_max = 2 / 2^53: the longest span needs more than 1e308 steps,
+        # which used to end in OverflowError from math.ceil
+        params = ReservoirParams(1.0, 1e-300, 2**53)
+        with pytest.raises(ValueError, match=r"grid span (5e\+299|inf) needs over 1e308 steps"):
+            kernel_ode_oracle(params, np.array(t))
+
+    def test_overflowed_amplitude_raises(self):
+        # gamma0 >> 1 puts ||A|| t far beyond 1/eps: repeated squaring of a
+        # rotation whose rounded eigenvalues sit just off the unit circle
+        # overflowed, and NaN came back where the closed form is finite
+        params = ReservoirParams(1e100, 1e-10, 3)
+        t = [0, 1e-3, 0.5, 20]
+        assert np.all(np.isfinite(decay_amplitude(params, np.array(t, dtype=float))))
+        named = r"non-finite amplitude at ReservoirParams\(gamma0=1e\+100, lambda_=1e-10, n_qubits=3\)"
+        with pytest.raises(ValueError, match=named):
+            kernel_ode_oracle(params, t)
+
 
 class TestModeGrid:
     def test_coupling_sum_matches_integral(self):
@@ -471,3 +491,46 @@ class TestChebyshevPropagator:
         traj = discrete_mode_oracle(params, t, grid)
         assert np.max(np.abs(traj.amplitudes - _exact_amplitudes(params, t, grid))) <= 1e-12
         assert traj.max_norm_error <= 1e-12
+
+
+def _dense_moments(f, coupling, centre, half_width, n_moments):
+    """sum_j |v_j0|^2 T_k(E~_j), k < n_moments, from eigh of the symmetric-sector arrow matrix."""
+    h = np.diag(np.concatenate([[0.0], f]))
+    h[0, 1:] = h[1:, 0] = coupling
+    energies, vectors = np.linalg.eigh(h)
+    scaled = (energies - centre) / half_width
+    return (vectors[0] * vectors[0]) @ np.polynomial.chebyshev.chebvander(scaled, n_moments - 1)
+
+
+class TestDoubledMomentRecurrence:
+    # each Chebyshev vector phi_k gives mu_2k and mu_2k+1, so the recurrence
+    # stops at phi_ceil(K/2); the edge cases are K <= 4, where it forms no
+    # or one vector past phi_1, and K of either parity
+    PARAMS = ReservoirParams(1.0, 2.0, 3)
+    MODES = build_mode_grid(PARAMS, 200, 40.0)
+
+    def _parts(self):
+        f = self.MODES.frequencies
+        coupling = np.sqrt(self.PARAMS.n_qubits) * self.MODES.couplings
+        centre = 0.5 * (f.max() + f.min())
+        half_width = 0.5 * (f.max() - f.min()) + np.linalg.norm(coupling)
+        return f, coupling, centre, half_width
+
+    @pytest.mark.parametrize(
+        ("phase", "n_moments"),
+        [(0.0, 1), (1e-10, 2), (1e-6, 3), (1e-4, 4), (100.0, 155), (120.0, 174)],
+    )
+    def test_matches_dense_eigh(self, phase, n_moments):
+        # phase = a t_max sets K, the Bessel cut; phase 0 is the grid [0.0]
+        f, coupling, centre, half_width = self._parts()
+        assert _bessel_series(phase).size == n_moments
+        t = np.linspace(0.0, phase / half_width, 5) if phase else np.array([0.0])
+        traj = discrete_mode_oracle(self.PARAMS, t, self.MODES)
+        exact = _exact_amplitudes(self.PARAMS, t, self.MODES)
+        assert np.max(np.abs(traj.amplitudes - exact)) <= 1e-12
+        assert traj.max_norm_error <= 1e-12
+        moments, head_error = _chebyshev_moments(f, coupling, centre, half_width, n_moments)
+        assert moments.shape == (n_moments,) and moments[0] == 1.0
+        assert head_error == traj.max_norm_error
+        dense = _dense_moments(f, coupling, centre, half_width, n_moments)
+        assert np.max(np.abs(moments - dense)) <= 1e-13
