@@ -6,7 +6,7 @@ Subcommands:
   audit   tabulate closed-form vs definition-based deviations
 
 A discrete-mode oracle run whose grid reaches the modes' recurrence time is
-a validation error, reported before any propagation.
+a validation error: oracle_report raises it before any propagation.
 
 Exit codes: 0 success, 1 validation error, 2 oracle tolerance failure.
 """
@@ -14,16 +14,13 @@ Exit codes: 0 success, 1 validation error, 2 oracle tolerance failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .audit import discrepancy_report
-from .reservoir import ReservoirParams, build_mode_grid
 from .sweep import (
     ConfigError,
-    SweepConfig,
     emit_csv,
     figure_preset,
     oracle_report,
@@ -92,30 +89,6 @@ def _load_config(args: argparse.Namespace):
     return parse_config(text)
 
 
-def _check_recurrence(config: SweepConfig, n_modes: int, window_over_lambda: float) -> None:
-    """Refuse a discrete-mode run whose grid reaches the modes' recurrence time.
-
-    From pi * n_modes / window on, the discretized reservoir returns its
-    excitation, so the run could only end in FAIL after the whole
-    propagation.  The returning excitation arrives a little before that
-    time, so a count whose recurrence only just clears the grid end still
-    fails (fig 3: 5093 modes recur at 20.0004 and print FAIL).  The error
-    therefore names ceil(1.5 window t_max / pi), which puts the recurrence
-    at 1.5 times the grid end.  build_mode_grid checks the count and the
-    window first.
-    """
-    lam = config.lambda_over_gamma0
-    modes = build_mode_grid(ReservoirParams(1.0, lam, 1), n_modes, window_over_lambda * lam)
-    t_end = config.t_max_gamma0
-    if t_end >= modes.recurrence_time:
-        needed = math.ceil(1.5 * modes.window * t_end / math.pi)
-        raise ValueError(
-            f"{n_modes} discrete modes recur at gamma0 t = {modes.recurrence_time:.6g} "
-            f"(pi * n_modes / window), within the grid end {t_end:g}; "
-            f"--discrete-modes {needed} or more puts the recurrence at 1.5 times the grid end"
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -130,8 +103,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "oracle":
             config = _load_config(args)
-            if args.discrete_modes is not None:
-                _check_recurrence(config, args.discrete_modes, args.window)
             report = oracle_report(config, args.discrete_modes, args.window)
             print(report.render())
             return 0 if report.passed else 2

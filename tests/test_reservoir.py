@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
@@ -234,11 +235,29 @@ class TestKernelOdeOracle:
         with pytest.raises(ValueError, match="t >= 0"):
             kernel_ode_oracle(params, np.array([-1.0, 1.0]))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
-    def test_rejects_bad_max_step(self, bad):
-        params = ReservoirParams(1.0, 1.0, 1)
-        with pytest.raises(ValueError, match="max_step must be positive and finite"):
-            kernel_ode_oracle(params, np.array([0.0, 0.1]), max_step=bad)
+
+def _discrete_oracle(params, t):
+    return discrete_mode_oracle(params, t, build_mode_grid(params, 20, 10.0))
+
+
+@pytest.mark.parametrize("oracle", [kernel_ode_oracle, _discrete_oracle], ids=["kernel", "discrete"])
+@pytest.mark.parametrize(
+    "t", [[0.0, np.nan], [0.0, 1.0, np.inf], [np.nan]], ids=["nan", "inf", "nan-only"]
+)
+def test_non_finite_grid_rejected(oracle, t):
+    # refused by the grid check, before a step count or a t_max is formed
+    # from them
+    with pytest.raises(ValueError, match="time grid must be finite"):
+        oracle(ReservoirParams(1.0, 1.0, 2), np.array(t))
+
+
+def _refined(t, h=1e-3):
+    """A grid from 0 through every point of t, with spans <= h."""
+    ends = np.concatenate([[0.0], t]) if t[0] > 0 else t
+    pieces = [
+        np.linspace(a, b, math.ceil((b - a) / h) + 1)[:-1] for a, b in zip(ends[:-1], ends[1:])
+    ]
+    return np.concatenate(pieces + [ends[-1:]])
 
 
 def _mpmath_reference() -> dict[tuple[float, int], list[tuple[float, float]]]:
@@ -266,14 +285,13 @@ class TestKernelOdeTaylorPropagation:
             worst = max(worst, float(np.max(np.abs(got - [c for _, c in rows]))))
         assert worst <= 1e-15
 
-    def test_large_max_step_does_not_change_trajectory(self):
+    def test_refined_grid_does_not_change_trajectory(self):
         params = ReservoirParams(1.0, 2.0, 3)
         t = np.linspace(0.0, 2.0, 5)
         default = kernel_ode_oracle(params, t)
-        capped = kernel_ode_oracle(params, t, max_step=1e3)
-        assert np.array_equal(default.amplitudes, capped.amplitudes)
-        finer = kernel_ode_oracle(params, t, max_step=1e-3)
-        assert np.max(np.abs(finer.amplitudes - default.amplitudes)) <= 1e-13
+        dense = _refined(t)
+        finer = kernel_ode_oracle(params, dense).amplitudes[np.isin(dense, t)]
+        assert np.max(np.abs(finer - default.amplitudes)) <= 1e-13
 
     @pytest.mark.parametrize(("lam", "n"), [(40.0, 1), (0.1, 10), (2.0, 1), (2.0, 5)])
     def test_non_uniform_grid(self, lam, n):
@@ -288,8 +306,9 @@ class TestKernelOdeTaylorPropagation:
         params = ReservoirParams(1.0, lam, n)
         traj = kernel_ode_oracle(params, t)
         assert np.max(np.abs(traj.amplitudes - decay_amplitude(params, t))) <= 1e-13
-        finer = kernel_ode_oracle(params, t, max_step=1e-3)
-        assert np.max(np.abs(finer.amplitudes - traj.amplitudes)) <= 1e-13
+        dense = _refined(t)
+        finer = kernel_ode_oracle(params, dense).amplitudes[np.isin(dense, t)]
+        assert np.max(np.abs(finer - traj.amplitudes)) <= 1e-13
 
     @pytest.mark.parametrize(("lam", "n"), [(40.0, 1), (40.0, 10), (0.1, 10), (2.0, 5)])
     def test_coarse_grid_is_substepped(self, lam, n):
@@ -299,12 +318,12 @@ class TestKernelOdeTaylorPropagation:
         traj = kernel_ode_oracle(params, t)
         assert np.max(np.abs(traj.amplitudes - decay_amplitude(params, t))) <= 1e-13
 
-    @pytest.mark.parametrize("t", [[0.0, 5e299, 1e300], [0.0, np.inf]])
+    @pytest.mark.parametrize("t", [[0.0, 5e299, 1e300]])
     def test_step_count_beyond_float_range_rejected(self, t):
         # h_max = 2 / 2^53: the longest span needs more than 1e308 steps,
         # which used to end in OverflowError from math.ceil
         params = ReservoirParams(1.0, 1e-300, 2**53)
-        with pytest.raises(ValueError, match=r"grid span (5e\+299|inf) needs over 1e308 steps"):
+        with pytest.raises(ValueError, match=r"grid span 5e\+299 needs over 1e308 steps"):
             kernel_ode_oracle(params, np.array(t))
 
     def test_overflowed_amplitude_raises(self):
@@ -360,7 +379,6 @@ class TestDiscreteModeOracle:
         assert traj.amplitudes[0] == 1.0
         assert np.max(np.abs(traj.amplitudes - closed)) <= 5e-3
         assert traj.max_norm_error is not None and traj.max_norm_error <= 1e-8
-        assert not traj.window_warning
 
     def test_qubit_count_bounded_for_run_time(self):
         # the vector has 1 + n_modes entries for any N, but the half-width a
@@ -370,20 +388,6 @@ class TestDiscreteModeOracle:
         grid = build_mode_grid(params, 20, 10.0)
         with pytest.raises(ValueError, match="n_qubits"):
             discrete_mode_oracle(params, np.array([0.0, 0.1]), grid)
-
-    def test_narrow_window_sets_warning(self):
-        params = ReservoirParams(1.0, 1.0, 1)
-        grid = build_mode_grid(params, 50, 5.0)
-        traj = discrete_mode_oracle(params, np.array([0.0, 0.1]), grid)
-        assert traj.window_warning
-
-    def test_recurrence_time_sets_warning(self):
-        # mode spacing 2 * 20 / 100 = 0.4: the excitation returns at 2 pi / 0.4 = 5 pi
-        params = ReservoirParams(1.0, 1.0, 1)
-        grid = build_mode_grid(params, 100, 20.0)
-        assert discrete_mode_oracle(params, np.array([0.0, 5.0 * np.pi]), grid).recurrence_warning
-        before = discrete_mode_oracle(params, np.array([0.0, 15.0]), grid)
-        assert not before.recurrence_warning and not before.window_warning
 
 
 def _exact_amplitudes(params, t, mode_grid):
@@ -403,9 +407,11 @@ def _exact_amplitudes(params, t, mode_grid):
 class TestDiscreteModeExactPropagation:
     @pytest.mark.parametrize(
         ("lam", "n", "modes"),
-        [(1.0, 2, 400), (40.0, 1, 400), (0.1, 5, 300), (2.0, 3, 200), (40.0, 4, 300)],
+        [(1.0, 2, 400), (40.0, 1, 400), (0.1, 5, 300), (2.0, 3, 200), (40.0, 4, 300), (1.0, 1, 10)],
     )
     def test_matches_dense_eigh(self, lam, n, modes):
+        # the last case recurs at pi * 10 / 20 = 1.57, before t = 3: the
+        # propagation stays exact past the recurrence time
         params = ReservoirParams(1.0, lam, n)
         grid = build_mode_grid(params, modes, 20.0 * lam)
         t = np.linspace(0.0, 3.0, 31)
@@ -432,10 +438,11 @@ class TestDiscreteModeExactPropagation:
         grid = build_mode_grid(params, 20, 10.0)
         f = grid.frequencies
         a = (f.max() - f.min()) / 2 + np.linalg.norm(grid.couplings)
-        for t_end in (1.001e6 / a, 1e300, float("inf")):
+        capped = "a t_max must be at most 1e"
+        for t_end, message in ((1.001e6 / a, capped), (1e300, capped), (np.inf, "must be finite")):
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match="a t_max must be at most 1e"):
+                with pytest.raises(ValueError, match=message):
                     discrete_mode_oracle(params, np.array([0.0, t_end]), grid)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:

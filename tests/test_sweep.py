@@ -396,7 +396,7 @@ class TestOracleReport:
         assert "narrower than 10 lambda" in lines[-2] and not lines[-2].endswith("FAIL")
         assert lines[-1] == "result: " + ("PASS" if narrow.passed else "FAIL")
 
-    def test_recurrence_reported(self):
+    def test_recurrence_reported(self, monkeypatch):
         # 100 modes over a window of 20 lambda recur at pi * 100 / 20 = 15.7
         cfg = SweepConfig(
             state="max_entangled",
@@ -405,14 +405,34 @@ class TestOracleReport:
             t_max_gamma0=16.0,
             steps=5,
         )
-        late = oracle_report(cfg, n_modes=100)
-        early_cfg = dataclasses.replace(cfg, t_max_gamma0=15.0)
-        early = oracle_report(early_cfg, n_modes=100)
-        assert not early.discrete_recurrence_warning and "warning" not in early.render()
-        assert late.discrete_recurrence_warning and not late.discrete_window_warning
-        lines = late.render().splitlines()
-        assert "recurrence time" in lines[-2]
-        assert lines[-1] == "result: " + ("PASS" if late.passed else "FAIL")
+        early = oracle_report(dataclasses.replace(cfg, t_max_gamma0=15.0), n_modes=100)
+        assert "warning" not in early.render()
+
+        def propagate(*args, **kwargs):
+            raise AssertionError("the discrete-mode oracle ran")
+
+        monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", propagate)
+        with pytest.raises(ValueError, match="recur"):
+            oracle_report(cfg, n_modes=100)
+
+    def test_mode_grid_built_once(self, monkeypatch):
+        # the grid reads gamma0 and lambda only, so every N shares it
+        built, real = [], sweep_mod.build_mode_grid
+
+        def build(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sweep_mod, "build_mode_grid", build)
+        cfg = SweepConfig(
+            state="max_entangled",
+            lambda_over_gamma0=1.0,
+            n_qubits_list=(1, 2, 5),
+            t_max_gamma0=0.5,
+            steps=6,
+        )
+        assert len(oracle_report(cfg, n_modes=100).discrete) == 3
+        assert len(built) == 1
 
     def test_tolerance_failure_detected(self, monkeypatch):
         monkeypatch.setattr(sweep_mod, "KERNEL_ORACLE_TOL", 1e-30)
