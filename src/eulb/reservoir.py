@@ -370,7 +370,8 @@ def discrete_mode_oracle(
     time; the rule is exact because the integrand's bandwidth stays below
     2K.  Memory is O(M + K).  The head entry phi_k[0] is mu_k as well, and
     the largest |phi_k[0] - mu_k| over the vectors formed, which checks the
-    doubled moments, is reported as max_norm_error.
+    doubled moments, is reported as max_norm_error (a name kept from an
+    earlier norm check).
 
     The propagation is exact for the discretized reservoir at every time;
     it converges to the closed form as n_modes and window grow, up to the

