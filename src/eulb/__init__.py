@@ -43,7 +43,6 @@ from .reservoir import (
     decay_amplitude,
     discrete_mode_oracle,
     kernel_ode_oracle,
-    spectral_density,
 )
 from .sweep import (
     ConfigError,
@@ -92,6 +91,5 @@ __all__ = [
     "pauli_x",
     "pauli_z",
     "run_sweep",
-    "spectral_density",
     "von_neumann_entropy",
 ]

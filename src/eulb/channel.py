@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .reservoir import _is_int
+
 _AMPLITUDE_SLACK = 1e-9  # |c| may exceed 1 by roundoff from the dynamics
 
 
@@ -34,7 +36,7 @@ def apply_memory_decay(rho: np.ndarray, c, excited: int = 0) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    if isinstance(excited, (bool, np.bool_)) or excited not in (0, 1):
+    if not _is_int(excited) or excited not in (0, 1):
         raise ValueError(f"excited level must be 0 or 1, got {excited!r}")
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):

@@ -5,8 +5,10 @@ Subcommands:
   oracle  check the closed-form decay amplitude against numerical oracles
   audit   tabulate closed-form vs definition-based deviations
 
-A discrete-mode oracle run whose grid reaches the modes' recurrence time is
-a validation error: oracle_report raises it before any propagation.
+The discrete-mode oracle (--discrete-modes M) samples M equal-weight modes
+over a fixed window of 20 lambda; the mode count is its one setting.  A
+run whose grid reaches the modes' recurrence time is a validation error:
+oracle_report raises it before any propagation.
 
 Exit codes: 0 success, 1 validation error, 2 oracle tolerance failure.
 """
@@ -65,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="also run the discretized-mode oracle with N modes",
     )
-    oracle.add_argument(
-        "--window",
-        type=float,
-        default=20.0,
-        metavar="MULT",
-        help="discretized-mode frequency half-width as a multiple of lambda (default 20)",
-    )
 
     audit = sub.add_parser("audit", help="closed-form vs definition discrepancy report")
     audit.add_argument("--p", type=float, default=0.5, help="Bell-diagonal weight (default 0.5)")
@@ -103,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "oracle":
             config = _load_config(args)
-            report = oracle_report(config, args.discrete_modes, args.window)
+            report = oracle_report(config, args.discrete_modes)
             print(report.render())
             return 0 if report.passed else 2
         if args.command == "audit":

@@ -111,10 +111,11 @@ class AmplitudeTrajectory:
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Uniform discretization of the reservoir over a symmetric frequency window.
+    """Equal-weight discretization of the reservoir over a symmetric frequency window.
 
     Frequencies are offsets from the qubit transition frequency; couplings
-    are real, with coupling^2 = J(frequency) * grid spacing (midpoint rule).
+    are real, and every mode carries the same weight of J (see
+    build_mode_grid).
     """
 
     n_modes: int
@@ -124,16 +125,11 @@ class ModeGrid:
 
     @property
     def recurrence_time(self) -> float:
-        """pi * n_modes / window, 2 pi over the mode spacing: from here on the
-        discretized reservoir returns its excitation to the qubits."""
-        return math.pi * self.n_modes / self.window
-
-
-def spectral_density(params: ReservoirParams, frequency) -> np.ndarray:
-    """Lorentzian J at the given offset(s) from the transition frequency."""
-    f = np.asarray(frequency, dtype=float)
-    lam = params.lambda_
-    return params.gamma0 * lam * lam / (2.0 * math.pi * (f * f + lam * lam))
+        """2 pi over the smallest mode spacing: from here on the discretized
+        reservoir returns its excitation to the qubits.  One mode has no
+        spacing and no recurrence of its own, so it gives math.inf."""
+        gaps = np.diff(self.frequencies)
+        return 2.0 * math.pi / float(gaps.min()) if gaps.size else math.inf
 
 
 def decay_amplitude(params: ReservoirParams, t):
@@ -267,17 +263,32 @@ def kernel_ode_oracle(params: ReservoirParams, t_grid) -> AmplitudeTrajectory:
 
 
 def build_mode_grid(params: ReservoirParams, n_modes: int, window: float) -> ModeGrid:
-    """Midpoint-rule discretization of J over [-window, +window] around the transition.
+    """Equal-weight discretization of J over [-window, +window] around the transition.
 
-    n_modes is an integer in [1, 10^6]; checked before anything is allocated.
+    The map w = lambda tan(theta) turns J(w) dw into (gamma0 lambda / 2 pi)
+    dtheta, so the nodes sit at w = lambda tan(theta) for the midpoints
+    theta of n_modes equal cells of [-atan(window / lambda), atan(window /
+    lambda)], and every mode gets coupling^2 = gamma0 lambda dtheta / 2 pi,
+    the cell's exact weight of J (the "density of frequencies" grid of Wang,
+    Thoss & Miller, J. Chem. Phys. 115, 2979 (2001)).  Modes crowd where J
+    is large: the spacing near resonance is about lambda dtheta, so the
+    recurrence time is about pi n_modes / (lambda atan(window / lambda)).
+    n_modes is an integer in [1, 10^6] and window a positive finite real;
+    both are checked before anything is allocated.
     """
     if not _is_int(n_modes) or not 1 <= n_modes <= _MAX_MODES:
         raise ValueError(f"n_modes must be an integer in [1, {_MAX_MODES}], got {n_modes!r}")
-    if not (math.isfinite(window) and window > 0):
-        raise ValueError("window must be positive and finite")
-    spacing = 2.0 * window / n_modes
-    freqs = -window + (np.arange(n_modes) + 0.5) * spacing
-    couplings = np.sqrt(spectral_density(params, freqs) * spacing)
+    if not (_is_real(window) and math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be positive and finite, got {window!r}")
+    lam = params.lambda_
+    edge = math.atan(window / lam)
+    cell = 2.0 * edge / n_modes
+    freqs = lam * np.tan(-edge + (np.arange(n_modes) + 0.5) * cell)
+    couplings = np.full(n_modes, math.sqrt(params.gamma0 * lam * cell / (2.0 * math.pi)))
+    # near the float minimum (lambda = 5e-324) the nodes round onto each
+    # other and the coupling to 0, which has no spacing or half-width
+    if not (couplings[0] > 0 and np.all(np.diff(freqs) > 0)):
+        raise ValueError(f"mode grid underflows at gamma0 = {params.gamma0!r}, lambda_ = {lam!r}")
     return ModeGrid(n_modes=n_modes, window=window, frequencies=freqs, couplings=couplings)
 
 
@@ -374,9 +385,9 @@ def discrete_mode_oracle(
     earlier norm check).
 
     The propagation is exact for the discretized reservoir at every time;
-    it converges to the closed form as n_modes and window grow, up to the
-    recurrence time pi * n_modes / window, after which the discretized
-    reservoir returns its excitation.  Whether a grid is a check of the
+    it converges to the closed form as n_modes and window grow, up to
+    mode_grid.recurrence_time, after which the discretized reservoir
+    returns its excitation.  Whether a grid is a check of the
     continuum is oracle_report's decision.  N and a t_max are each at most
     10^6, checked before anything is allocated.
     """

@@ -30,6 +30,10 @@ from .reservoir import (
 
 KERNEL_ORACLE_TOL = 1e-12
 DISCRETE_ORACLE_TOL = 5e-3
+# Half-width of the discrete-mode frequency window over lambda.  The modes
+# outside it carry 1 - 2 atan(20) / pi = 3.2% of J's weight; the deviation
+# this leaves (~2e-4 to 4e-4 on the fig 2 preset) is well inside the tolerance.
+_WINDOW_OVER_LAMBDA = 20.0
 
 _STATES = ("max_entangled", "bell_diagonal")
 
@@ -294,7 +298,6 @@ class OracleReport:
     kernel: list[OracleDeviation]
     discrete: list[OracleDeviation] = field(default_factory=list)
     discrete_max_norm_error: float | None = None
-    discrete_window_warning: bool = False  # discretized window narrower than 10 lambda
 
     @property
     def passed(self) -> bool:
@@ -306,59 +309,48 @@ class OracleReport:
             f"oracle check: lambda/gamma0 = {self.config.lambda_over_gamma0:g}, "
             f"grid [0, {self.config.t_max_gamma0:g}] x {self.config.steps}"
         ]
-        for label, rows, tol in (
-            ("kernel-ODE", self.kernel, KERNEL_ORACLE_TOL),
-            ("discrete-mode", self.discrete, DISCRETE_ORACLE_TOL),
-        ):
+        for label, rows in (("kernel-ODE", self.kernel), ("discrete-mode", self.discrete)):
             for row in rows:
                 status = "ok" if row.passed else "FAIL"
                 lines.append(
                     f"  {label:13s} N={row.n_qubits:<3d} max |dev| = {row.max_deviation:.3e}"
-                    f"  (tol {tol:g})  {status}"
+                    f"  (tol {row.tolerance:g})  {status}"
                 )
         if self.discrete_max_norm_error is not None:
             err = self.discrete_max_norm_error
             lines.append(f"  discrete-mode max |phi_k[0] - mu_k| = {err:.3e}")
-        if self.discrete_window_warning:
-            lines.append(
-                "  warning: discrete-mode window is narrower than 10 lambda; "
-                "the deviation includes the truncated reservoir"
-            )
         lines.append("result: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
 
-def oracle_report(
-    config: SweepConfig,
-    n_modes: int | None = None,
-    window_over_lambda: float = 20.0,
-) -> OracleReport:
+def oracle_report(config: SweepConfig, n_modes: int | None = None) -> OracleReport:
     """Compare the closed-form amplitude against the kernel-ODE route for each
-    configured N, and against the discretized-mode route with n_modes modes
-    over the half-width window_over_lambda * lambda when n_modes is given.
-    With n_modes None the report has no discrete-mode rows and
-    window_over_lambda is unused.
+    configured N, and against the discretized-mode route with n_modes
+    equal-weight modes over the half-width 20 lambda when n_modes is given.
+    With n_modes None the report has no discrete-mode rows.
 
-    A grid reaching the modes' recurrence time pi * n_modes / window, from
-    which the discretized reservoir returns its excitation, is no check of
-    the continuum C(t): it raises ValueError before either oracle runs.  The
-    excitation returns a little before that time (fig 3: 5093 modes recur
-    at 20.0004 and print FAIL), so the error names ceil(1.5 window t_max /
-    pi), which puts the recurrence at 1.5 times the grid end.  One mode grid
-    serves every N: it reads gamma0 and lambda only.
+    A grid reaching the modes' recurrence time (2 pi over their smallest
+    spacing), from which the discretized reservoir returns its excitation,
+    is no check of the continuum C(t): it raises ValueError before either
+    oracle runs.  The excitation returns a little before that time, so the
+    error names ceil(1.5 t_max n_modes / recurrence_time), which puts the
+    recurrence at 1.5 times the grid end (fig 3: 581 modes, which pass).
+    That count clears the recurrence but need not meet the tolerance: at
+    lambda = gamma0 so few modes are too coarse.  One mode grid serves
+    every N: it reads gamma0 and lambda only.
     """
     validate_config(config)
     times = _time_grid(config)
     modes = None
     if n_modes is not None:
         lam = config.lambda_over_gamma0
-        modes = build_mode_grid(ReservoirParams(1.0, lam, 1), n_modes, window_over_lambda * lam)
+        modes = build_mode_grid(ReservoirParams(1.0, lam, 1), n_modes, _WINDOW_OVER_LAMBDA * lam)
         t_end, recur = config.t_max_gamma0, modes.recurrence_time
         if t_end >= recur:
-            needed = math.ceil(1.5 * modes.window * t_end / math.pi)
+            needed = math.ceil(1.5 * t_end * n_modes / recur)
             raise ValueError(
                 f"{n_modes} discrete modes recur at gamma0 t = {recur:.6g} "
-                f"(pi * n_modes / window), within the grid end {t_end:g}; "
+                f"(2 pi over the smallest mode spacing), within the grid end {t_end:g}; "
                 f"--discrete-modes {needed} or more puts the recurrence at 1.5 times the grid end"
             )
     kernel_rows = []
@@ -391,5 +383,4 @@ def oracle_report(
         kernel=kernel_rows,
         discrete=discrete_rows,
         discrete_max_norm_error=max_norm_err,
-        discrete_window_warning=modes is not None and window_over_lambda < 10.0,
     )

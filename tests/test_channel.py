@@ -130,8 +130,10 @@ class TestApplyMemoryDecay:
         rho = random_density_matrix(rng, 4)
         with pytest.raises(ValueError, match="positivity"):
             apply_memory_decay(rho, 1.01)
-        with pytest.raises(ValueError, match="excited"):
-            apply_memory_decay(rho, 0.5, excited=2)
+        # floats pass "in (0, 1)" but would index an array
+        for bad in (2, 1.0, np.float64(0.0), "1"):
+            with pytest.raises(ValueError, match="excited"):
+                apply_memory_decay(rho, 0.5, excited=bad)
         with pytest.raises(ValueError, match="excited"):
             apply_memory_decay(rho, 0.5, excited=True)
         with pytest.raises(ValueError, match="positivity"):

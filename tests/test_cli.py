@@ -75,7 +75,7 @@ def test_oracle_with_discrete_modes(tmp_path, capsys):
         "state = max_entangled\nlambda_over_gamma0 = 1.0\n"
         "n_qubits_list = 1\nt_max_gamma0 = 1\nsteps = 11\n"
     )
-    code = main(["oracle", "--config", str(path), "--discrete-modes", "300", "--window", "15"])
+    code = main(["oracle", "--config", str(path), "--discrete-modes", "300"])
     assert code == 0
     assert "discrete-mode" in capsys.readouterr().out
 
@@ -178,19 +178,27 @@ def test_oracle_step_count_beyond_float_range_exits_1(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_oracle_narrow_window_warns(tmp_path, capsys):
+def test_window_option_removed(capsys):
+    # the window is fixed at 20 lambda; the mode count is the one setting
+    assert main(["oracle", "--fig", "3", "--window", "20"]) == 1
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
+
+
+def test_oracle_single_mode_propagates(tmp_path, capsys):
+    # one mode has no spacing, so no recurrence refuses it: it propagates,
+    # and fails the tolerance on its own (a Rabi oscillation, not a decay)
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CONFIG)
-    code = main(["oracle", "--config", str(path), "--discrete-modes", "300", "--window", "5"])
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "1"]) == 2
     lines = capsys.readouterr().out.strip().splitlines()
-    assert code == 0 and lines[-1] == "result: PASS"
-    assert lines[-2].lstrip().startswith("warning: discrete-mode window")
-    assert not any(line.endswith("FAIL") for line in lines)
+    assert lines[-1] == "result: FAIL"
+    assert "discrete-mode N=1" in lines[-3] and lines[-3].endswith("FAIL")
 
 
 def test_oracle_refuses_recurring_modes_before_propagating(tmp_path, monkeypatch, capsys):
-    # fig 3: 2000 modes over a window of 20 lambda = 800 recur at
-    # pi * 2000 / 800 = 7.85, before the grid end 20; ceil(1.5 * 800 * 20 / pi) = 7640
+    # fig 3: 300 equal-weight modes over a window of 20 lambda = 800 recur at
+    # 2 pi over their smallest spacing, 15.49, before the grid end 20; the
+    # refusal names ceil(1.5 * 20 * 300 / 15.49) = 581
     path = tmp_path / "fig3.cfg"
     path.write_text(eulb.format_config(eulb.figure_preset(3)))
 
@@ -198,20 +206,21 @@ def test_oracle_refuses_recurring_modes_before_propagating(tmp_path, monkeypatch
         raise AssertionError("the discrete-mode oracle ran")
 
     monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", propagate)
-    assert main(["oracle", "--config", str(path), "--discrete-modes", "2000"]) == 1
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "300"]) == 1
     captured = capsys.readouterr()
-    assert "recur at gamma0 t = 7.85398" in captured.err
-    assert "--discrete-modes 7640 or more" in captured.err
+    assert "recur at gamma0 t = 15.4926 (2 pi over the smallest mode spacing)" in captured.err
+    assert "--discrete-modes 581 or more" in captured.err
     assert captured.out == ""
 
 
 @pytest.mark.parametrize(("modes", "code"), [("95", 1), ("96", 2)])
 def test_oracle_recurrence_check_boundary(tmp_path, capsys, modes, code):
-    # window 20 lambda = 20 and grid end 15: 95 modes recur at 14.92, 96 at 15.08,
-    # so 96 propagates (and fails on the excitation returning just before the
-    # recurrence time); the refusal names ceil(1.5 * 20 * 15 / pi) = 144
+    # window 20 lambda = 20 and grid end 197: 95 modes recur at 196.17, 96 at
+    # 198.29, so 96 propagates, and fails: it clears the recurrence but is
+    # too coarse for lambda = gamma0; the refusal names
+    # ceil(1.5 * 197 * 95 / 196.17) = 144
     path = tmp_path / "tiny.cfg"
-    path.write_text(TINY_CONFIG.replace("t_max_gamma0 = 1", "t_max_gamma0 = 15"))
+    path.write_text(TINY_CONFIG.replace("t_max_gamma0 = 1", "t_max_gamma0 = 197"))
     assert main(["oracle", "--config", str(path), "--discrete-modes", modes]) == code
     captured = capsys.readouterr()
     if code == 1:
@@ -221,11 +230,12 @@ def test_oracle_recurrence_check_boundary(tmp_path, capsys, modes, code):
 
 
 def test_oracle_named_mode_count_passes(tmp_path, capsys):
-    # the count that the refusal names must itself pass, not only clear the
-    # recurrence: on the grid above 96 and 120 modes still print FAIL
-    path = tmp_path / "tiny.cfg"
-    path.write_text(TINY_CONFIG.replace("t_max_gamma0 = 1", "t_max_gamma0 = 15"))
-    assert main(["oracle", "--config", str(path), "--discrete-modes", "95"]) == 1
+    # on the fig 3 preset the count that the refusal names must itself pass,
+    # not only clear the recurrence: 300 modes are refused and name 581
+    path = tmp_path / "fig3.cfg"
+    path.write_text(eulb.format_config(eulb.figure_preset(3)).replace("1, 2, 5, 10", "1"))
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "300"]) == 1
     needed = re.search(r"--discrete-modes (\d+) or more", capsys.readouterr().err).group(1)
+    assert needed == "581"
     assert main(["oracle", "--config", str(path), "--discrete-modes", needed]) == 0
     assert capsys.readouterr().out.rstrip().endswith("result: PASS")

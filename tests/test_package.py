@@ -53,6 +53,5 @@ def test_public_api_is_pinned():
         "pauli_x",
         "pauli_z",
         "run_sweep",
-        "spectral_density",
         "von_neumann_entropy",
     }

@@ -27,6 +27,7 @@ from eulb.bounds import (
 )
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.linalg import von_neumann_entropy
+from eulb.sweep import SweepConfig, run_sweep
 
 TOL = 1e-9
 _unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -165,3 +166,38 @@ def test_stacked_general_states_equal_per_half_calls(rhos, pair):
     stacked = _ledger(stack, q, r)
     for k in range(2):
         _assert_member_equal(stacked, k, _ledger(stack[k], q, r))
+
+
+SWEEP_EPS = 1e-13
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    lam=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    ns=st.lists(st.integers(1, 10**4), min_size=1, max_size=3, unique=True),
+    t_max=st.floats(1e-3, 100.0),
+    p=st.floats(0.0, 1.0),
+    state=st.sampled_from(["max_entangled", "bell_diagonal"]),
+    excited=st.sampled_from([0, 1]),
+)
+def test_sweep_rows_keep_the_bounds_chain(lam, ns, t_max, p, state, excited):
+    # the whole pipeline, amplitude to ledger, on short grids across the
+    # parameter space.  The record carries no S(B), so chi is bounded by
+    # I(A;B): measuring A cannot raise its correlation with B.
+    config = SweepConfig(
+        state=state,
+        lambda_over_gamma0=lam,
+        p=p,
+        n_qubits_list=tuple(ns),
+        t_max_gamma0=t_max,
+        steps=9,
+        excited_label=excited,
+    )
+    for rec in run_sweep(config).ledgers.values():
+        assert all(np.isfinite(getattr(rec, f.name)).all() for f in fields(BoundsRecord))
+        assert np.all(np.abs(rec.amplitude) <= 1.0)
+        assert np.all(rec.u_left >= rec.adabi - SWEEP_EPS)
+        assert np.all(rec.adabi >= rec.berta - SWEEP_EPS)
+        for chi in (rec.holevo_q, rec.holevo_r):
+            assert np.all(chi >= 0.0)
+            assert np.all(chi <= rec.mutual_info + SWEEP_EPS)

@@ -17,7 +17,6 @@ from eulb.reservoir import (
     decay_amplitude,
     discrete_mode_oracle,
     kernel_ode_oracle,
-    spectral_density,
 )
 from eulb.sweep import KERNEL_ORACLE_TOL
 
@@ -352,25 +351,53 @@ class TestKernelOdeTaylorPropagation:
 
 class TestModeGrid:
     def test_coupling_sum_matches_integral(self):
+        # every mode carries its cell's exact weight of J, so the sum is the
+        # integral of J over the window up to rounding
         params = ReservoirParams(1.0, 40.0, 1)
         window = 20 * params.lambda_
         grid = build_mode_grid(params, 2000, window)
         total = float(grid.couplings @ grid.couplings)
         analytic = params.gamma0 * params.lambda_ / np.pi * np.arctan(window / params.lambda_)
-        assert abs(total - analytic) / analytic < 0.01
+        assert abs(total - analytic) / analytic <= 1e-12
 
-    def test_spectral_density_peak(self):
+    def test_equal_weight_nodes(self):
+        # nodes at lambda tan(theta), theta the cell midpoints of
+        # [-atan(W / lambda), atan(W / lambda)], all with one coupling
         params = ReservoirParams(2.0, 5.0, 1)
-        assert abs(spectral_density(params, 0.0) - 2.0 / (2 * np.pi)) < 1e-12
-        # half maximum at one spectral width from the transition
-        assert abs(spectral_density(params, 5.0) - 1.0 / (2 * np.pi)) < 1e-12
+        grid = build_mode_grid(params, 4, 50.0)
+        edge = np.arctan(10.0)
+        theta = edge * np.array([-0.75, -0.25, 0.25, 0.75])
+        assert np.allclose(grid.frequencies, 5.0 * np.tan(theta), rtol=1e-14, atol=0)
+        assert np.allclose(grid.couplings, np.sqrt(2.0 * 5.0 * (edge / 2) / (2 * np.pi)), rtol=1e-14)
+
+    def test_recurrence_time(self):
+        # 2 pi over the smallest spacing, the pair around resonance:
+        # 2 lambda tan(dtheta / 2) for an even count, lambda tan(dtheta) for odd
+        params = ReservoirParams(1.0, 1.0, 1)
+        cell = 2.0 * np.arctan(20.0)
+        assert build_mode_grid(params, 8, 20.0).recurrence_time == pytest.approx(
+            2 * np.pi / (2 * np.tan(cell / 16)), rel=1e-12
+        )
+        assert build_mode_grid(params, 7, 20.0).recurrence_time == pytest.approx(
+            2 * np.pi / np.tan(cell / 7), rel=1e-12
+        )
+        # one mode has no spacing and so no recurrence
+        assert build_mode_grid(params, 1, 20.0).recurrence_time == math.inf
 
     def test_validation(self):
         params = ReservoirParams(1.0, 1.0, 1)
         with pytest.raises(ValueError, match="n_modes"):
             build_mode_grid(params, 0, 10.0)
-        with pytest.raises(ValueError, match="window"):
-            build_mode_grid(params, 10, -1.0)
+        # True used to pass as 1.0, and "10" reached a TypeError
+        for bad in (-1.0, 0.0, np.inf, np.nan, True, np.True_, "10", None):
+            with pytest.raises(ValueError, match="window"):
+                build_mode_grid(params, 10, bad)
+        assert build_mode_grid(params, 10, np.float32(10.0)).n_modes == 10
+        # coinciding nodes or a zero coupling used to end in ZeroDivisionError
+        tiny = ReservoirParams(1.0, 5e-324, 1)
+        for modes in (1, 10):
+            with pytest.raises(ValueError, match="mode grid underflows"):
+                build_mode_grid(tiny, modes, 20 * tiny.lambda_)
 
     def test_mode_count_bounded_before_allocation(self):
         params = ReservoirParams(1.0, 1.0, 1)
@@ -419,11 +446,19 @@ def _exact_amplitudes(params, t, mode_grid):
 class TestDiscreteModeExactPropagation:
     @pytest.mark.parametrize(
         ("lam", "n", "modes"),
-        [(1.0, 2, 400), (40.0, 1, 400), (0.1, 5, 300), (2.0, 3, 200), (40.0, 4, 300), (1.0, 1, 10)],
+        [
+            (1.0, 2, 400),
+            (40.0, 1, 400),
+            (0.1, 5, 300),
+            (2.0, 3, 200),
+            (40.0, 4, 300),
+            (1.0, 1, 10),
+            (40.0, 1, 10),
+        ],
     )
     def test_matches_dense_eigh(self, lam, n, modes):
-        # the last case recurs at pi * 10 / 20 = 1.57, before t = 3: the
-        # propagation stays exact past the recurrence time
+        # the last case recurs at 0.51, before t = 3: the propagation stays
+        # exact past the recurrence time ((1.0, 1, 10) recurs only at 20.5)
         params = ReservoirParams(1.0, lam, n)
         grid = build_mode_grid(params, modes, 20.0 * lam)
         t = np.linspace(0.0, 3.0, 31)
@@ -495,9 +530,11 @@ class TestChebyshevPropagator:
         with pytest.raises(RuntimeError, match="no cut"):
             _bessel_series(float("inf"))  # used to double the FFT size forever
 
-    # a non-uniform grid, with intervals from 0.01 to 3.8 and a t_max ~ 290
+    # a non-uniform grid, with intervals from 0.01 to 3.8 and a t_max ~ 270
     # moments behind it; start = 1 drops t = 0, whose amplitude is set exactly
-    T_NONUNIFORM = np.array([0.0, 0.013, 0.05, 0.21, 0.4, 0.47, 0.9, 1.3, 1.31, 1.7, 2.2, 6.0, 6.1, 6.35, 7.0])
+    T_NONUNIFORM = np.array(
+        [0.0, 0.013, 0.05, 0.21, 0.4, 0.47, 0.9, 1.3, 1.31, 1.7, 2.2, 6.0, 6.1, 6.35, 7.0, 7.5]
+    )
 
     @pytest.mark.parametrize(("n", "start"), [(1, 0), (3, 0), (3, 1)])
     def test_long_steps_match_dense_eigh(self, n, start):

@@ -15,6 +15,8 @@ from eulb.channel import apply_memory_decay, bell_diagonal_initial
 from eulb.sweep import (
     CSV_HEADER,
     ConfigError,
+    OracleDeviation,
+    OracleReport,
     SweepConfig,
     SweepOutput,
     emit_csv,
@@ -398,47 +400,52 @@ class TestOracleReport:
             t_max_gamma0=2.0,
             steps=41,
         )
-        report = oracle_report(cfg, n_modes=400, window_over_lambda=15.0)
+        report = oracle_report(cfg, n_modes=400)
         assert report.passed
         assert len(report.discrete) == 1
         assert report.discrete[0].max_deviation <= 5e-3
         assert report.discrete_max_norm_error is not None
         assert report.discrete_max_norm_error <= 1e-8
 
-    def test_narrow_window_reported(self):
-        cfg = SweepConfig(
-            state="max_entangled",
-            lambda_over_gamma0=1.0,
-            n_qubits_list=(1, 2),
-            t_max_gamma0=0.5,
-            steps=6,
-        )
-        wide = oracle_report(cfg, n_modes=100, window_over_lambda=15.0)
-        narrow = oracle_report(cfg, n_modes=100, window_over_lambda=5.0)
-        assert not wide.discrete_window_warning and "warning" not in wide.render()
-        assert narrow.discrete_window_warning
-        lines = narrow.render().splitlines()
-        assert "narrower than 10 lambda" in lines[-2] and not lines[-2].endswith("FAIL")
-        assert lines[-1] == "result: " + ("PASS" if narrow.passed else "FAIL")
-
     def test_recurrence_reported(self, monkeypatch):
-        # 100 modes over a window of 20 lambda recur at pi * 100 / 20 = 15.7
+        # 100 equal-weight modes over a window of 20 lambda recur at 2 pi over
+        # their smallest spacing, 2 pi / (2 tan(atan(20) / 100)) = 206.55
         cfg = SweepConfig(
             state="max_entangled",
             lambda_over_gamma0=1.0,
             n_qubits_list=(1, 2),
-            t_max_gamma0=16.0,
+            t_max_gamma0=207.0,
             steps=5,
         )
-        early = oracle_report(dataclasses.replace(cfg, t_max_gamma0=15.0), n_modes=100)
-        assert "warning" not in early.render()
+        early = oracle_report(dataclasses.replace(cfg, t_max_gamma0=206.0), n_modes=100)
+        assert len(early.discrete) == 2
 
         def propagate(*args, **kwargs):
             raise AssertionError("the discrete-mode oracle ran")
 
         monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", propagate)
-        with pytest.raises(ValueError, match="recur"):
+        with pytest.raises(ValueError, match=r"recur at gamma0 t = 206\.554"):
             oracle_report(cfg, n_modes=100)
+
+    def test_fig3_horizon_at_default_mode_count(self):
+        # equal-weight modes crowd near resonance: 2000 of them recur at 103,
+        # past the fig 3 horizon 20
+        cfg = dataclasses.replace(figure_preset(3), n_qubits_list=(10,))
+        report = oracle_report(cfg, n_modes=2000)
+        assert report.passed and len(report.discrete) == 1
+        assert report.discrete[0].max_deviation <= 1e-4
+
+    def test_render_prints_each_rows_tolerance(self):
+        # the printed tolerance is the one that decided the row's status
+        cfg = SweepConfig(state="max_entangled", lambda_over_gamma0=1.0)
+        report = OracleReport(
+            config=cfg,
+            kernel=[OracleDeviation(n_qubits=1, max_deviation=0.3, tolerance=0.25)],
+            discrete=[OracleDeviation(n_qubits=2, max_deviation=0.3, tolerance=0.5)],
+        )
+        lines = report.render().splitlines()
+        assert lines[1].endswith("(tol 0.25)  FAIL")
+        assert lines[2].endswith("(tol 0.5)  ok")
 
     def test_mode_grid_built_once(self, monkeypatch):
         # the grid reads gamma0 and lambda only, so every N shares it
