@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,10 +118,12 @@ class ModeGrid:
     build_mode_grid).
     """
 
-    n_modes: int
-    window: float
-    frequencies: np.ndarray = field(repr=False)
-    couplings: np.ndarray = field(repr=False)
+    frequencies: np.ndarray
+    couplings: np.ndarray
+
+    @property
+    def n_modes(self) -> int:
+        return self.frequencies.size
 
     @property
     def recurrence_time(self) -> float:
@@ -289,7 +291,7 @@ def build_mode_grid(params: ReservoirParams, n_modes: int, window: float) -> Mod
     # other and the coupling to 0, which has no spacing or half-width
     if not (couplings[0] > 0 and np.all(np.diff(freqs) > 0)):
         raise ValueError(f"mode grid underflows at gamma0 = {params.gamma0!r}, lambda_ = {lam!r}")
-    return ModeGrid(n_modes=n_modes, window=window, frequencies=freqs, couplings=couplings)
+    return ModeGrid(frequencies=freqs, couplings=couplings)
 
 
 def _bessel_series(x: float) -> np.ndarray:

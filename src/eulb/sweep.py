@@ -2,10 +2,12 @@
 
 A sweep evolves one of the two reference initial states through the memory
 decay channel on a uniform time grid for each qubit count N.  Each N is
-evaluated as one (steps, 4, 4) time stack, one channel call and one ledger
-call, and kept as that stacked ledger: a BoundsRecord whose fields are
-arrays over the grid.  The CSV is rendered from those columns.  Output is
-deterministic: the same configuration always produces byte-identical CSV.
+kept as one stacked ledger, a BoundsRecord whose fields are arrays over the
+grid, filled block by block: one channel call and one ledger call per
+_LEDGER_ROWS grid times, so only one block's states and temporaries are
+alive at a time.  The CSV is rendered from those columns, _RENDER_ROWS rows
+at a time.  Output is deterministic: the same configuration always produces
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ _WINDOW_OVER_LAMBDA = 20.0
 
 _STATES = ("max_entangled", "bell_diagonal")
 
-# A sweep evaluates each N as one time stack and holds its ledgers and the
-# rendered CSV at once.  Measured tracemalloc peak of run_sweep + emit_csv:
-# ~0.30 kB per row for the figure presets (four N), up to ~0.94 kB per row
-# when one N carries every row, where that N's ledger temporaries set the
-# peak.  500k rows therefore stay below about 0.5 GB (468 MB measured).
+# A sweep holds its ledgers (ten float64 columns, 80 B a row) and the
+# rendered CSV (~0.15 kB a row) at once; its ledger blocks add a fixed
+# ~0.7 MB.  Measured tracemalloc peak of run_sweep + emit_csv: ~0.25 kB per
+# row for the figure presets (fig 2: 2.0 MB) and for one N carrying every
+# row.  500k rows therefore stay near 0.13 GB (123 MB measured; 149 MB max
+# RSS for the whole `eulb sweep` process).
 _MAX_SWEEP_ROWS = 500_000
 
 CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_info,cond_entropy"
@@ -50,7 +53,13 @@ CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_inf
 # time is flat from 64 to 1024 rows (16 is ~10% slower), and at 256 the peak
 # of rendering fig 2 is 1.36x the CSV's size (2.05x with one block per N).
 _RENDER_ROWS = 256
-_ROW_FORMAT = b",".join([b"%.12g"] * 10) + b"\n"  # the BoundsRecord fields in order
+_FIELDS = tuple(f.name for f in fields(BoundsRecord))
+_ROW_FORMAT = b",".join([b"%.12g"] * len(_FIELDS)) + b"\n"
+# Rows per channel call and ledger call in a sweep.  Each block's states and
+# ledger temporaries are freed before the next.  Measured on figs 2-5
+# (run_sweep alone, 30 interleaved rounds): 1024-row blocks ran 2% faster
+# than one call per N, and 256-row blocks 4% slower, from per-call overhead.
+_LEDGER_ROWS = 4 * _RENDER_ROWS
 
 
 class ConfigError(ValueError):
@@ -195,8 +204,9 @@ class SweepOutput:
     """A sweep's configuration and its ledger, one stacked record per N.
 
     ledgers maps each qubit count, in ascending order, to the BoundsRecord
-    that bounds_record returns for the whole time grid: every field is an
-    array of config.steps values, one per grid time.
+    of the whole time grid, bit for bit what bounds_record returns for the
+    grid's stack: every field is an array of config.steps values, one per
+    grid time.
     """
 
     config: SweepConfig
@@ -225,9 +235,16 @@ def run_sweep(config: SweepConfig) -> SweepOutput:
     ledgers: dict[int, BoundsRecord] = {}
     for n in sorted(config.n_qubits_list):
         params = ReservoirParams(gamma0=1.0, lambda_=config.lambda_over_gamma0, n_qubits=n)
-        amplitudes = decay_amplitude(params, times)
-        states = apply_memory_decay(initial, amplitudes, excited=config.excited_label)
-        ledgers[n] = bounds_record(states, x, z, t=times, amplitude=amplitudes)
+        columns = np.empty((len(_FIELDS), config.steps))  # the BoundsRecord fields in order
+        columns[0] = times
+        columns[1] = decay_amplitude(params, times)
+        for start in range(0, config.steps, _LEDGER_ROWS):
+            block = slice(start, start + _LEDGER_ROWS)
+            states = apply_memory_decay(initial, columns[1, block], excited=config.excited_label)
+            record = bounds_record(states, x, z)
+            for row, name in zip(columns[2:], _FIELDS[2:]):
+                row[block] = getattr(record, name)
+        ledgers[n] = BoundsRecord(*columns)
     return SweepOutput(config=config, ledgers=ledgers)
 
 
@@ -241,10 +258,11 @@ def _render(output: SweepOutput) -> bytearray:
     head.append(CSV_HEADER)
     data = bytearray("\n".join(head).encode("ascii") + b"\n")
     for n, ledger in output.ledgers.items():
-        columns = np.column_stack([getattr(ledger, f.name) for f in fields(ledger)])
+        columns = [getattr(ledger, name) for name in _FIELDS]
         row_format = f"{n},".encode("ascii") + _ROW_FORMAT
-        for start in range(0, len(columns), _RENDER_ROWS):
-            block = columns[start : start + _RENDER_ROWS] + 0.0  # + 0.0 writes -0.0 as 0
+        for start in range(0, len(ledger.t), _RENDER_ROWS):
+            # + 0.0 writes -0.0 as 0
+            block = np.column_stack([c[start : start + _RENDER_ROWS] for c in columns]) + 0.0
             data += row_format * len(block) % tuple(block.ravel().tolist())
     return data
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 from collections import defaultdict
@@ -383,6 +384,14 @@ class TestModeGrid:
         )
         # one mode has no spacing and so no recurrence
         assert build_mode_grid(params, 1, 20.0).recurrence_time == math.inf
+
+    def test_holds_only_the_modes(self):
+        # the grid is its frequencies and couplings; the count is read from them
+        grid = build_mode_grid(ReservoirParams(1.0, 1.0, 1), np.int64(5), 20.0)
+        assert [f.name for f in dataclasses.fields(grid)] == ["frequencies", "couplings"]
+        assert grid.n_modes == 5 and type(grid.n_modes) is int
+        with pytest.raises(AttributeError):
+            grid.n_modes = 6
 
     def test_validation(self):
         params = ReservoirParams(1.0, 1.0, 1)

@@ -10,8 +10,9 @@ import pytest
 import eulb.audit as audit_mod
 import eulb.sweep as sweep_mod
 from eulb.audit import closed_form_report, discrepancy_report, evolved_bell_diagonal_closed_form
-from eulb.bounds import BoundsRecord
-from eulb.channel import apply_memory_decay, bell_diagonal_initial
+from eulb.bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
+from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
+from eulb.reservoir import ReservoirParams, decay_amplitude
 from eulb.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -185,7 +186,7 @@ class TestConfigLimits:
         assert parse_config(format_config(cfg)) == cfg
 
     def test_sweep_above_row_limit_rejected(self):
-        # validated only: a sweep at this size would hold ~1 GB
+        # validated only: a sweep at this size peaks near 150 MB and runs ~5 s
         limit = sweep_mod._MAX_SWEEP_ROWS
         at_limit = dataclasses.replace(self.BASE, n_qubits_list=(1, 2), steps=limit // 2)
         assert validate_config(at_limit) is at_limit
@@ -243,6 +244,41 @@ class TestRunSweep:
 
     def test_deterministic(self):
         assert render_csv(run_sweep(SMALL)) == render_csv(run_sweep(SMALL))
+
+    @pytest.mark.parametrize("state", ["max_entangled", "bell_diagonal"])
+    def test_ledger_blocks_equal_one_stacked_call(self, state):
+        # one N over two full ledger blocks and one row: every field is bit for
+        # bit what one bounds_record call on the whole time stack returns
+        cfg = SweepConfig(
+            state=state, lambda_over_gamma0=0.1, p=0.3, n_qubits_list=(2,),
+            t_max_gamma0=30.0, steps=2 * sweep_mod._LEDGER_ROWS + 1, excited_label=1,
+        )
+        ledger = run_sweep(cfg).ledgers[2]
+        times = np.linspace(0.0, cfg.t_max_gamma0, cfg.steps)
+        amplitudes = decay_amplitude(ReservoirParams(1.0, cfg.lambda_over_gamma0, 2), times)
+        initial = max_entangled_initial() if state == "max_entangled" else bell_diagonal_initial(cfg.p)
+        states = apply_memory_decay(initial, amplitudes, excited=1)
+        whole = bounds_record(states, pauli_x(), pauli_z(), t=times, amplitude=amplitudes)
+        for f in dataclasses.fields(BoundsRecord):
+            got, want = getattr(ledger, f.name), getattr(whole, f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+
+    def test_peak_does_not_grow_with_the_stack(self):
+        # One N of 20,001 rows.  The sweep keeps ten float64 columns (80 B a
+        # row) and evaluates one ledger block at a time; the temporaries of a
+        # whole-stack channel and ledger call would read ~940 B a row.
+        cfg = SweepConfig(
+            state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,), steps=20_001
+        )
+        run_sweep(dataclasses.replace(cfg, steps=3))
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * cfg.steps
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
