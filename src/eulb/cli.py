@@ -21,14 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .audit import discrepancy_report
-from .sweep import (
-    ConfigError,
-    emit_csv,
-    figure_preset,
-    oracle_report,
-    parse_config,
-    run_sweep,
-)
+from .sweep import ConfigError, figure_preset, oracle_report, parse_config, write_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,9 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "sweep":
             config = _load_config(args)
-            output = run_sweep(config)
-            emit_csv(output, args.out)
-            print(f"wrote {config.steps * len(output.ledgers)} rows to {args.out}")
+            write_sweep(config, args.out)
+            print(f"wrote {config.steps * len(config.n_qubits_list)} rows to {args.out}")
             return 0
         if args.command == "oracle":
             config = _load_config(args)

@@ -1,18 +1,21 @@
 """Parameter sweeps, deterministic CSV emission, and the oracle report.
 
 A sweep evolves one of the two reference initial states through the memory
-decay channel on a uniform time grid for each qubit count N.  Each N is
-kept as one stacked ledger, a BoundsRecord whose fields are arrays over the
-grid, filled block by block: one channel call and one ledger call per
-_LEDGER_ROWS grid times, so only one block's states and temporaries are
-alive at a time.  The CSV is rendered from those columns, _RENDER_ROWS rows
-at a time.  Output is deterministic: the same configuration always produces
-byte-identical CSV.
+decay channel on a uniform time grid for each qubit count N.  It is
+evaluated block by block: one amplitude call, one channel call and one
+ledger call per _LEDGER_ROWS grid times, so only one block's states and
+temporaries are alive at a time.  write_sweep renders each block to CSV,
+_RENDER_ROWS rows at a time, and writes it before the next block is
+computed; run_sweep instead collects the blocks into one stacked ledger
+per N, a BoundsRecord whose fields are arrays over the grid, and
+emit_csv renders such a held sweep the same way.  Output is deterministic:
+the same configuration always produces byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -39,12 +42,12 @@ _WINDOW_OVER_LAMBDA = 20.0
 
 _STATES = ("max_entangled", "bell_diagonal")
 
-# A sweep holds its ledgers (ten float64 columns, 80 B a row) and the
-# rendered CSV (~0.15 kB a row) at once; its ledger blocks add a fixed
-# ~0.7 MB.  Measured tracemalloc peak of run_sweep + emit_csv: ~0.25 kB per
-# row for the figure presets (fig 2: 2.0 MB) and for one N carrying every
-# row.  500k rows therefore stay near 0.13 GB (123 MB measured; 149 MB max
-# RSS for the whole `eulb sweep` process).
+# eulb sweep (write_sweep) holds one ledger block and the time grid (8 B a
+# row); run_sweep holds ten float64 columns per N (80 B a row) for Python
+# callers.  So the cap bounds the CLI's run time (~3-4 s) and file size
+# (~75 MB at 500k rows) and run_sweep's columns (40 MB), not the CLI's
+# working set: one N of 500k rows measured 35-39 MB max RSS for the whole
+# `eulb sweep` process, of which `import numpy, eulb` is 29 MB.
 _MAX_SWEEP_ROWS = 500_000
 
 CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_info,cond_entropy"
@@ -223,47 +226,81 @@ def _time_grid(config: SweepConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max_gamma0, config.steps)
 
 
-def run_sweep(config: SweepConfig) -> SweepOutput:
-    """Evaluate the bounds ledger over the configured (N, t) grid.
+def _reservoirs(config: SweepConfig) -> list[tuple[int, ReservoirParams]]:
+    """Each N in ascending order with its reservoir, after validating config.
 
-    gamma0 is fixed to 1, so grid times coincide with gamma0*t.
+    Building every ReservoirParams up front raises any refusal (N > 2**53,
+    an overflowing lambda) before a sweep or an oracle computes or writes
+    anything.  gamma0 is fixed to 1, so grid times coincide with gamma0*t.
     """
     validate_config(config)
+    lam = config.lambda_over_gamma0
+    ns = sorted(config.n_qubits_list)
+    return [(n, ReservoirParams(gamma0=1.0, lambda_=lam, n_qubits=n)) for n in ns]
+
+
+def _ledger_blocks(
+    config: SweepConfig, reservoirs: list[tuple[int, ReservoirParams]], times: np.ndarray
+) -> Iterator[tuple[int, BoundsRecord]]:
+    """(n, ledger) for each block of _LEDGER_ROWS grid times of each N, in
+    CSV order: one amplitude call, one channel call and one ledger call a
+    block.  C(t) is elementwise, so each block is bit for bit the matching
+    rows of the whole grid's ledger."""
     x, z = pauli_x(), pauli_z()
     initial = _initial_state(config)
-    times = _time_grid(config)
-    ledgers: dict[int, BoundsRecord] = {}
-    for n in sorted(config.n_qubits_list):
-        params = ReservoirParams(gamma0=1.0, lambda_=config.lambda_over_gamma0, n_qubits=n)
-        columns = np.empty((len(_FIELDS), config.steps))  # the BoundsRecord fields in order
-        columns[0] = times
-        columns[1] = decay_amplitude(params, times)
-        for start in range(0, config.steps, _LEDGER_ROWS):
-            block = slice(start, start + _LEDGER_ROWS)
-            states = apply_memory_decay(initial, columns[1, block], excited=config.excited_label)
-            record = bounds_record(states, x, z)
-            for row, name in zip(columns[2:], _FIELDS[2:]):
-                row[block] = getattr(record, name)
-        ledgers[n] = BoundsRecord(*columns)
+    for n, params in reservoirs:
+        for start in range(0, len(times), _LEDGER_ROWS):
+            t = times[start : start + _LEDGER_ROWS]
+            amplitudes = decay_amplitude(params, t)
+            states = apply_memory_decay(initial, amplitudes, excited=config.excited_label)
+            yield n, bounds_record(states, x, z, t=t, amplitude=amplitudes)
+
+
+def run_sweep(config: SweepConfig) -> SweepOutput:
+    """Evaluate the bounds ledger over the configured (N, t) grid and hold it.
+
+    Each N's ledger is ten float64 columns (80 B a row), filled from the
+    ledger blocks; the CLI streams through write_sweep instead.
+    """
+    reservoirs = _reservoirs(config)
+    columns: dict[int, np.ndarray] = {}
+    for n, record in _ledger_blocks(config, reservoirs, _time_grid(config)):
+        if n not in columns:
+            columns[n] = np.empty((len(_FIELDS), config.steps))  # the BoundsRecord fields in order
+            filled = 0
+        block = slice(filled, filled + len(record.t))
+        for row, name in zip(columns[n], _FIELDS):
+            row[block] = getattr(record, name)
+        filled = block.stop
+    ledgers = {n: BoundsRecord(*rows) for n, rows in columns.items()}
     return SweepOutput(config=config, ledgers=ledgers)
 
 
-def _render(output: SweepOutput) -> bytearray:
-    """The CSV as ASCII: metadata, header, then each N's rows, one bytes %
-    per block of _RENDER_ROWS rows, appended to a single buffer."""
+def _csv_chunks(
+    config: SweepConfig, ledgers: Iterable[tuple[int, BoundsRecord]]
+) -> Iterator[bytes]:
+    """The CSV as ASCII chunks: the metadata and header, then each (n, ledger)
+    in the order given, one bytes % per _RENDER_ROWS rows."""
     from . import __version__
 
     head = [f"# eulb {__version__}"]
-    head += ["# " + line for line in format_config(output.config).splitlines()]
+    head += ["# " + line for line in format_config(config).splitlines()]
     head.append(CSV_HEADER)
-    data = bytearray("\n".join(head).encode("ascii") + b"\n")
-    for n, ledger in output.ledgers.items():
+    yield "\n".join(head).encode("ascii") + b"\n"
+    for n, ledger in ledgers:
         columns = [getattr(ledger, name) for name in _FIELDS]
         row_format = f"{n},".encode("ascii") + _ROW_FORMAT
         for start in range(0, len(ledger.t), _RENDER_ROWS):
             # + 0.0 writes -0.0 as 0
             block = np.column_stack([c[start : start + _RENDER_ROWS] for c in columns]) + 0.0
-            data += row_format * len(block) % tuple(block.ravel().tolist())
+            yield row_format * len(block) % tuple(block.ravel().tolist())
+
+
+def _render(output: SweepOutput) -> bytearray:
+    """A held sweep's CSV, its chunks appended to a single buffer."""
+    data = bytearray()
+    for chunk in _csv_chunks(output.config, output.ledgers.items()):
+        data += chunk
     return data
 
 
@@ -272,10 +309,11 @@ def render_csv(output: SweepOutput) -> str:
 
 
 def emit_csv(output: SweepOutput, destination) -> bytearray:
-    """Write the sweep as CSV bytes ('\\n' endings, 12 significant digits).
+    """Write a held sweep as CSV bytes ('\\n' endings, 12 significant digits).
 
     destination may be a path or a binary file object.  The CSV is rendered
-    once, into one bytearray, which is written and returned either way.
+    once, into one bytearray, which is written and returned either way.  To
+    write a sweep without holding its ledger or its CSV, use write_sweep.
     """
     data = _render(output)
     if hasattr(destination, "write"):
@@ -287,6 +325,31 @@ def emit_csv(output: SweepOutput, destination) -> bytearray:
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
     return data
+
+
+def write_sweep(config: SweepConfig, destination) -> None:
+    """Evaluate the sweep and write its CSV to the path destination, block
+    by block: the bytes emit_csv(run_sweep(config), destination) writes.
+
+    Each ledger block is rendered and written before the next is computed,
+    so the working set is one block plus the time grid (8 B a row).  The
+    config is validated, every N's reservoir built and the time grid
+    computed before the file is opened, so those refusals leave no file;
+    a file that cannot be opened raises OSError naming the path before any
+    ledger work.  A fault found once the file is open (a write error,
+    |C| > 1 + 1e-9 in the channel, an eigenvalue below the entropy floor)
+    raises and leaves a partial file: the header and the blocks written
+    before it.
+    """
+    reservoirs = _reservoirs(config)
+    times = _time_grid(config)
+    path = Path(destination)
+    try:
+        with path.open("wb") as file:
+            for chunk in _csv_chunks(config, _ledger_blocks(config, reservoirs, times)):
+                file.write(chunk)
+    except OSError as exc:
+        raise OSError(f"failed to write CSV to {path}: {exc}") from exc
 
 
 # --- oracle report ----------------------------------------------------------
@@ -357,7 +420,7 @@ def oracle_report(config: SweepConfig, n_modes: int | None = None) -> OracleRepo
     lambda = gamma0 so few modes are too coarse.  One mode grid serves
     every N: it reads gamma0 and lambda only.
     """
-    validate_config(config)
+    reservoirs = _reservoirs(config)
     times = _time_grid(config)
     modes = None
     if n_modes is not None:
@@ -374,8 +437,7 @@ def oracle_report(config: SweepConfig, n_modes: int | None = None) -> OracleRepo
     kernel_rows = []
     discrete_rows = []
     max_norm_err: float | None = None
-    for n in sorted(config.n_qubits_list):
-        params = ReservoirParams(gamma0=1.0, lambda_=config.lambda_over_gamma0, n_qubits=n)
+    for n, params in reservoirs:
         closed = decay_amplitude(params, times)
         ode = kernel_ode_oracle(params, times)
         kernel_rows.append(

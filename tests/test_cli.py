@@ -164,6 +164,19 @@ def test_rate_that_overflows_exits_1(tmp_path, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+def test_sweep_to_unwritable_path_exits_1_before_the_ledger(tmp_path, monkeypatch, capsys):
+    # the destination is opened before the first block is computed
+    def no_ledger(*args, **kwargs):
+        raise AssertionError("ledger evaluated before the file was opened")
+
+    monkeypatch.setattr(sweep_mod, "bounds_record", no_ledger)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG)
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: failed to write CSV to {out}")
+
+
 def test_oracle_step_count_beyond_float_range_exits_1(tmp_path, capsys):
     # span ||A|| / 2 overflows: the kernel ODE's step count used to end in an
     # OverflowError traceback

@@ -28,7 +28,20 @@ from eulb.sweep import (
     render_csv,
     run_sweep,
     validate_config,
+    write_sweep,
 )
+
+
+def _traced_peak(fn) -> int:
+    """tracemalloc peak of fn(), in bytes above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
 
 SMALL = SweepConfig(
     state="max_entangled",
@@ -280,6 +293,18 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 200 * cfg.steps
 
+    def test_peak_grows_by_the_columns_and_the_grid(self):
+        # Per row the sweep keeps ten float64 columns and the time grid (88 B);
+        # C(t) evaluated on the whole grid at once would add its complex
+        # temporaries (~136 B a row).
+        cfg = SweepConfig(
+            state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,), steps=20_001
+        )
+        run_sweep(dataclasses.replace(cfg, steps=3))
+        small = _traced_peak(lambda: run_sweep(cfg))
+        large = _traced_peak(lambda: run_sweep(dataclasses.replace(cfg, steps=60_001)))
+        assert large - small < 100 * 40_000
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(SweepConfig(state="max_entangled", lambda_over_gamma0=-1.0))
@@ -410,6 +435,31 @@ class TestCsv:
         missing = tmp_path / "nope" / "out.csv"
         with pytest.raises(OSError, match="nope"):
             emit_csv(out, missing)
+
+
+class TestWriteSweep:
+    @pytest.mark.parametrize("state", ["max_entangled", "bell_diagonal"])
+    def test_file_equals_the_held_sweeps_csv(self, state, tmp_path):
+        # two N, each crossing the seams between ledger blocks and render blocks
+        cfg = SweepConfig(
+            state=state, lambda_over_gamma0=0.1, p=0.3, n_qubits_list=(5, 2),
+            t_max_gamma0=30.0, steps=2 * sweep_mod._LEDGER_ROWS + 1, excited_label=1,
+        )
+        target = tmp_path / "out.csv"
+        write_sweep(cfg, target)
+        assert target.read_bytes() == render_csv(run_sweep(cfg)).encode("ascii")
+
+    def test_peak_grows_by_the_time_grid_only(self, tmp_path):
+        # The time grid is 8 B a row; holding the columns and the CSV would
+        # read ~0.25 kB a row.
+        cfg = SweepConfig(
+            state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,), steps=20_001
+        )
+        target = tmp_path / "out.csv"
+        write_sweep(dataclasses.replace(cfg, steps=3), target)
+        small = _traced_peak(lambda: write_sweep(cfg, target))
+        large = _traced_peak(lambda: write_sweep(dataclasses.replace(cfg, steps=60_001), target))
+        assert large - small < 16 * 40_000
 
 
 class TestOracleReport:
