@@ -34,13 +34,13 @@ CONSISTENCY_TOL = 1e-9
 
 # The definition route and the tabulated-matrix gap run in blocks of this
 # many amplitudes, each block one channel call and one ledger call on the
-# (2, block) stack of both families; the ledger's temporaries take ~1.7 kB
-# per amplitude.  The closed forms run once over the whole grid, so audit
-# memory grows with the grid: their tracemalloc peak is ~160 bytes per
-# point, ~160 MB at the 10^6-point cap.  The tracemalloc peak of a 101-point
-# audit is ~0.038 MB at 8 amplitudes per block, ~0.035 MB at 6, ~0.046 MB
-# at 12 and ~0.054 MB at 16; per audit, 6 take ~15% more time than 8, and
-# 12 ~20% less (2-vCPU VM, numpy 2.4).
+# (2, block) stack of both families, which stays real; the ledger's
+# temporaries take ~0.9 kB per amplitude.  The closed forms run once over
+# the whole grid, so audit memory grows with the grid: their tracemalloc
+# peak is ~160 bytes per point, ~160 MB at the 10^6-point cap.  The
+# tracemalloc peak of a 101-point audit is ~0.025 MB at 8 amplitudes per
+# block, ~0.022 MB at 6, ~0.030 MB at 12 and ~0.036 MB at 16; per audit,
+# 6 take ~15% more time than 8, and 12 ~20% less (2-vCPU VM, numpy 2.4).
 _AUDIT_BLOCK = 8
 _MAX_AUDIT_POINTS = 1_000_000
 

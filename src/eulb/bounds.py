@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import entropy_from_eigenvalues, von_neumann_entropy
+from .linalg import _inexact, entropy_from_eigenvalues, von_neumann_entropy
 
 ZERO_PROBABILITY_TOL = 1e-12
 _IDENTITY = np.eye(2)
@@ -37,7 +37,7 @@ class Observable:
     kets: np.ndarray
 
     def __post_init__(self) -> None:
-        kets = np.asarray(self.kets, dtype=complex)
+        kets = _inexact(self.kets)
         if kets.shape != (2, 2):
             raise ValueError(f"kets must be a 2x2 array of row vectors, got {kets.shape}")
         gram = kets.conj() @ kets.T
@@ -62,9 +62,10 @@ def complementarity(q: Observable, r: Observable) -> float:
 
 
 def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies of rho_A, rho_B and the unnormalised memory branches <k|rho|k>
-    for the four kets k, shape (..., 6), and the outcome probabilities
-    Tr <k|rho|k>, shape (..., 4), from one contraction and one 2x2 solve."""
+    """Spectra of rho_A, rho_B and the unnormalised memory branches <k|rho|k>
+    for the four kets k, shape (..., 6, 2), and the outcome probabilities
+    Tr <k|rho|k>, shape (..., 4), from one contraction and one 2x2 solve.
+    rho and kets share one dtype."""
     stack = rho.shape[:-2]
     # rho viewed as [..., (a, c), (b, d)], so that one weight row over (a, c)
     # contracts qubit A away: the identity gives rho_B, and conj(k_a) k_c
@@ -76,10 +77,8 @@ def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.
     reduced = np.empty(stack + (6, 4), dtype=rho.dtype)  # rho_A, rho_B, then the branches
     np.einsum("jm,...mx->...jx", weights.reshape(5, 4), blocks, out=reduced[..., 1:, :])
     reduced[..., 0, :] = blocks[..., :, 0] + blocks[..., :, 3]  # rho_A: the b = d = 0, 1 slices
-    # The post-measurement state is block diagonal in the measured basis, so
-    # its entropy is the sum of its branches' entropies.
-    s = entropy_from_eigenvalues(np.linalg.eigvalsh(reduced.reshape(stack + (6, 2, 2))))
-    return s, (reduced[..., 2:, 0] + reduced[..., 2:, 3]).real
+    evals = np.linalg.eigvalsh(reduced.reshape(stack + (6, 2, 2)))
+    return evals, reduced.real[..., 2:, 0] + reduced.real[..., 2:, 3]
 
 
 def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -120,11 +119,11 @@ def bounds_record(
     """Compute every BoundsRecord field, sharing the spectral decompositions.
 
     rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude broadcast
-    against the stack axes.  A stack runs in one arithmetic: complex if any
-    member, or a ket of q or r, has an imaginary part, else real.  A real
-    member of a mixed real/complex stack may therefore differ in its last
-    bits from its own call (berta 4.8e-16 against 1.2e-15 in one case).
-    A NaN or inf entry raises ValueError.
+    against the stack axes.  The dtypes alone set the arithmetic: complex
+    when rho or a ket of q or r has a complex dtype, else real, whatever
+    the values.  So every member of a stack runs as its own call would in
+    that dtype, and a complex-dtype state with zero imaginary part takes
+    the complex route.  A NaN or inf entry raises ValueError.
     """
     return _ledger(rho, q, r, t, amplitude)[0]
 
@@ -134,19 +133,21 @@ def _ledger(
 ) -> tuple[BoundsRecord, np.ndarray]:
     """bounds_record's record, and the post-measurement entropies S(rho_QB)
     and S(rho_RB) over the stack axes, shape (..., 2)."""
-    rho = np.asarray(rho)
+    rho = _inexact(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"bounds_record expects a 4x4 state or a stack of them, got {rho.shape}")
     kets = np.concatenate([q.kets, r.kets])  # the kets of q, then of r
-    if kets.imag.any() or (np.iscomplexobj(rho) and rho.imag.any()):
-        rho = rho.astype(complex, copy=False)
-    else:  # true of both reference families: the ledger runs in real arithmetic
-        rho, kets = rho.real.astype(float, copy=False), kets.real
+    if rho.dtype != kets.dtype:  # float64 or complex128 each: one is complex
+        rho, kets = rho.astype(complex, copy=False), kets.astype(complex, copy=False)
     # The call's one Hermiticity check.  The six 2x2 blocks that
     # _reduced_spectra solves are partial traces and compressions of rho,
     # so they are Hermitian with it.
     s_ab = von_neumann_entropy(rho)
-    s, p = _reduced_spectra(rho, kets)
+    evals, p = _reduced_spectra(rho, kets)
+    # Taken once _reduced_spectra's blocks are freed: this entropy is the
+    # ledger's largest step.  The post-measurement state is block diagonal
+    # in the measured basis, so its entropy is the sum of its branches'.
+    s = entropy_from_eigenvalues(evals)
     s_a, s_b = s[..., 0], s[..., 1]
     h = s[..., 2:].reshape(s.shape[:-1] + (2, 2))  # [..., observable q or r, outcome]
     post = h.sum(axis=-1)

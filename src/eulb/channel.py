@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .linalg import _inexact
 from .reservoir import _is_int
 
 _AMPLITUDE_SLACK = 1e-9  # |c| may exceed 1 by roundoff from the dynamics
@@ -31,9 +32,10 @@ def apply_memory_decay(rho: np.ndarray, c, excited: int = 0) -> np.ndarray:
     c = -1 a phase flip on the excited level.  rho may be a (..., 4, 4)
     stack and c an array of amplitudes; the two broadcast, so one state and
     a series of amplitudes give one evolved state per amplitude.  Every
-    amplitude must be finite.
+    amplitude must be finite.  The map has real coefficients, so a real
+    state comes out float64 and a complex one complex128.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _inexact(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
     if not _is_int(excited) or excited not in (0, 1):
@@ -58,8 +60,8 @@ def apply_memory_decay(rho: np.ndarray, c, excited: int = 0) -> np.ndarray:
 
 
 def max_entangled_initial() -> np.ndarray:
-    """The maximally entangled pure state (|00> + |11>)/sqrt(2) as a 4x4 matrix."""
-    rho = np.zeros((4, 4), dtype=complex)
+    """The maximally entangled pure state (|00> + |11>)/sqrt(2) as a real 4x4 matrix."""
+    rho = np.zeros((4, 4))
     rho[0, 0] = rho[0, 3] = rho[3, 0] = rho[3, 3] = 0.5
     return rho
 
@@ -67,10 +69,10 @@ def max_entangled_initial() -> np.ndarray:
 def _bell_kets() -> dict[str, np.ndarray]:
     s = 1.0 / math.sqrt(2.0)
     return {
-        "phi+": np.array([s, 0, 0, s], dtype=complex),
-        "phi-": np.array([s, 0, 0, -s], dtype=complex),
-        "psi+": np.array([0, s, s, 0], dtype=complex),
-        "psi-": np.array([0, s, -s, 0], dtype=complex),
+        "phi+": np.array([s, 0, 0, s]),
+        "phi-": np.array([s, 0, 0, -s]),
+        "psi+": np.array([0, s, s, 0]),
+        "psi-": np.array([0, s, -s, 0]),
     }
 
 
@@ -80,14 +82,14 @@ def bell_diagonal_initial(p: float) -> np.ndarray:
     Built directly from the Bell projectors; it equals the Pauli-basis form
     (I x I + sum_i r_i sigma_i x sigma_i) / 4 with r = (1-2p, -p, -p).
     Marginals are maximally mixed for every p; the spectrum is
-    {p, (1-p)/2, (1-p)/2, 0}.
+    {p, (1-p)/2, (1-p)/2, 0}.  The matrix is real (float64).
     """
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     kets = _bell_kets()
-    rho = p * np.outer(kets["psi-"], kets["psi-"].conj())
+    rho = p * np.outer(kets["psi-"], kets["psi-"])
     for name in ("psi+", "phi+"):
-        rho = rho + 0.5 * (1.0 - p) * np.outer(kets[name], kets[name].conj())
+        rho = rho + 0.5 * (1.0 - p) * np.outer(kets[name], kets[name])
     return rho
 

@@ -25,7 +25,7 @@ EIGENVALUE_FLOOR = -1e-10
 def _inexact(m) -> np.ndarray:
     """m as a float64 array, or complex128 when its dtype is complex."""
     m = np.asarray(m)
-    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    return np.asarray(m, dtype=complex if m.dtype.kind == "c" else float)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -63,7 +63,9 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
     if smallest < EIGENVALUE_FLOOR:
         raise ValueError(f"eigenvalue {smallest:.3e} below positivity floor {EIGENVALUE_FLOOR}")
     p = np.where(evals > 0.0, evals, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
-    s = -(p * np.log2(p)).sum(axis=-1)
+    terms = np.log2(p)
+    np.multiply(p, terms, out=terms)
+    s = -terms.sum(axis=-1)
     return np.maximum(s, 0.0)  # roundoff guard when an eigenvalue exceeds 1 by ~1 ulp
 
 

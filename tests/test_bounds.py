@@ -297,10 +297,15 @@ class TestRealAndComplexPaths:
             return eigvalsh(m)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        states = _preset_stack(4, 2)  # complex dtype, zero imaginary part
+        states = _preset_stack(4, 2)  # float64: the channel keeps a real state real
         x, z = pauli_x(), pauli_z()
+        assert states.dtype == x.kets.dtype == z.kets.dtype == np.dtype(float)
         bounds_record(states, x, z)
         assert seen and set(seen) == {np.dtype(float)}
+        seen.clear()
+        # the dtype alone decides: zero imaginary parts still take the complex route
+        bounds_record(states.astype(complex), x, z)
+        assert seen and set(seen) == {np.dtype(complex)}
         seen.clear()
         bounds_record(states, x, Observable("z", z.kets * 1j))
         assert seen and set(seen) == {np.dtype(complex)}

@@ -121,6 +121,19 @@ class TestApplyMemoryDecay:
                 assert np.array_equal(out[i], apply_memory_decay(rho, c, excited=excited))
                 assert np.array_equal(paired[i], apply_memory_decay(stack[i], c, excited=excited))
 
+    def test_real_state_stays_real(self, rng):
+        # the Kraus pair has real coefficients: real in, float64 out, with the
+        # real part of the complex route's result bit for bit
+        cs = np.linspace(-1.0, 1.0, 5)
+        assert max_entangled_initial().dtype == bell_diagonal_initial(0.3).dtype == np.float64
+        for initial in (max_entangled_initial(), bell_diagonal_initial(0.3), np.diag([1, 0, 0, 0])):
+            out = apply_memory_decay(initial, cs)
+            assert out.dtype == np.float64
+            via_complex = apply_memory_decay(np.asarray(initial, dtype=complex), cs)
+            assert via_complex.dtype == np.complex128
+            assert out.tobytes() == via_complex.real.tobytes()
+        assert apply_memory_decay(random_density_matrix(rng, 4), cs).dtype == np.complex128
+
     def test_amplitude_clamped_near_one(self, rng):
         rho = random_density_matrix(rng, 4)
         out = apply_memory_decay(rho, 1.0 + 5e-10)

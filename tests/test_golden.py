@@ -8,6 +8,10 @@ conjugated by the unitary I x diag(1, e^{2i}) on B have the same ledger,
 but imaginary parts, so they take the complex-arithmetic route; it must
 reproduce the reference within MPMATH_COMPLEX_ATOL.
 
+The figure presets' CSVs are pinned byte for byte by the SHA-256 of
+everything from the header line on; the '#' metadata lines above it carry
+the package version, so a version bump does not move the pins.
+
 tests/golden/ledger.csv holds every BoundsRecord field, written with repr,
 for the four figure presets at 51 time points plus fig 4 with the other
 memory level decaying.  The file was written by the per-state (Jacobi)
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -32,7 +37,7 @@ import pytest
 
 from eulb.bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
-from eulb.sweep import figure_preset, run_sweep
+from eulb.sweep import figure_preset, run_sweep, write_sweep
 
 GOLDEN = Path(__file__).with_name("golden") / "ledger.csv"
 GOLDEN_ATOL = 1e-12
@@ -145,6 +150,49 @@ def test_complex_ledger_matches_mpmath(case):
     worst = mpmath_deviations(case, B_PHASE)
     bad = {name: dev for name, dev in worst.items() if not dev <= MPMATH_COMPLEX_ATOL}
     assert not bad, f"{case}: complex-route columns off the 40-digit ledger: {bad}"
+
+
+# SHA-256 of each preset CSV from its header line to the end of the file.
+PRESET_CSV_SHA256 = {
+    2: "27e077dc59802c7b4a150620ba3035033a856dbe503389eb8f3d8cd20a530f3b",
+    3: "e6ac74b0d80457ee5e9c195e96771f70c9d7dddc55869245fbf19644bc92267c",
+    4: "87259724ebf93e9362d1507974a6ee375e2c7b90d323bbbff161a42263a3a98d",
+    5: "1e80a439f51e15b899f34639554d81f85529800ce6ba4a97b6ac4faa035dc204",
+}
+
+
+@pytest.fixture(scope="module")
+def preset_csvs(tmp_path_factory):
+    """Each preset's CSV as eulb sweep writes it, and the dtypes of every
+    stack np.linalg.eigvalsh saw while writing them."""
+    out = tmp_path_factory.mktemp("presets")
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(m):
+        seen.append(m.dtype)
+        return eigvalsh(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", spy)
+        for fig in PRESET_CSV_SHA256:
+            write_sweep(figure_preset(fig), out / f"fig{fig}.csv")
+    return {fig: (out / f"fig{fig}.csv").read_bytes() for fig in PRESET_CSV_SHA256}, seen
+
+
+@pytest.mark.parametrize("fig", list(PRESET_CSV_SHA256))
+def test_preset_csv_bytes_pinned(preset_csvs, fig):
+    lines = preset_csvs[0][fig].splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+    body = b"".join(lines[header:])
+    assert hashlib.sha256(body).hexdigest() == PRESET_CSV_SHA256[fig]
+
+
+def test_presets_run_in_real_arithmetic(preset_csvs):
+    # real initial states stay real through the channel, and sigma_x and
+    # sigma_z have real kets, so no spectrum of the sweep is complex
+    seen = preset_csvs[1]
+    assert seen and set(seen) == {np.dtype(float)}
 
 
 def write_golden() -> None:

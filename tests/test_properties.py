@@ -35,11 +35,12 @@ _angle = st.floats(0.0, 2.0 * np.pi)
 
 
 @st.composite
-def states(draw) -> np.ndarray:
-    """rho = G G^dagger / Tr, with G a 4 x rank complex matrix: every rank 1..4."""
+def states(draw, real: bool = False) -> np.ndarray:
+    """rho = G G^dagger / Tr, with G a 4 x rank complex matrix (real when
+    real is set): every rank 1..4."""
     rank = draw(st.integers(1, 4))
     parts = draw(arrays(float, (2, 4, rank), elements=_unit))
-    g = parts[0] + 1j * parts[1]
+    g = parts[0] if real else parts[0] + 1j * parts[1]
     rho = g @ g.conj().T
     trace = np.trace(rho).real
     assume(trace > 1e-3)
@@ -109,6 +110,24 @@ def test_excited_label_one_is_flip_conjugated_channel(rho, c):
 
 
 @settings(derandomize=True, database=None, deadline=None)
+@given(
+    rho=states() | states(real=True),
+    c=arrays(float, st.integers(1, 9), elements=_unit),
+    excited=st.sampled_from([0, 1]),
+)
+def test_ledger_even_in_the_amplitude(rho, c, excited):
+    # c -> -c flips the sign of the excited memory level, a local unitary on
+    # B, so the whole ledger is even in c, on the real route and the complex one
+    x, z = pauli_x(), pauli_z()
+    plus = _ledger(apply_memory_decay(rho, c, excited), x, z)
+    minus = _ledger(apply_memory_decay(rho, -c, excited), x, z)
+    for f in fields(BoundsRecord):
+        dev = np.max(np.abs(getattr(minus[0], f.name) - getattr(plus[0], f.name)))
+        assert dev <= 1e-14, f.name
+    assert np.max(np.abs(minus[1] - plus[1])) <= 1e-14
+
+
+@settings(derandomize=True, database=None, deadline=None)
 @given(rho=states(), u=unitaries())
 def test_ledger_invariant_under_unitary_on_memory(rho, u):
     # every ledger field is a function of entropies conditioned on B or of
@@ -157,9 +176,9 @@ def test_two_family_stack_equals_per_family_calls(c, p):
 @settings(derandomize=True, database=None, deadline=None)
 @given(rhos=st.lists(states(), min_size=2, max_size=8), pair=observable_pairs())
 def test_stacked_general_states_equal_per_half_calls(rhos, pair):
-    # a stack runs in real arithmetic only if all of it is real, so every
-    # member is complex here and both calls take the complex route
-    assume(all(rho.imag.any() for rho in rhos))
+    # the dtype alone sets the arithmetic, so a stack of complex128 states
+    # and each half of it take the same complex route, members with zero
+    # imaginary part included
     q, r, _ = pair
     half = len(rhos) // 2
     stack = np.array(rhos[: 2 * half]).reshape(2, half, 4, 4)

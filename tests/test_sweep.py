@@ -305,6 +305,18 @@ class TestRunSweep:
         large = _traced_peak(lambda: run_sweep(dataclasses.replace(cfg, steps=60_001)))
         assert large - small < 100 * 40_000
 
+    def test_ledger_block_peak_stays_within_five_stacks(self):
+        # One block of real states: the ledger frees its contraction before
+        # the branch entropies and forms p log2 p in place, ~4.1x the stack's
+        # bytes; with both alive through the entropies it read ~5.6x.
+        times = np.linspace(0.0, 20.0, sweep_mod._LEDGER_ROWS)
+        amplitudes = decay_amplitude(ReservoirParams(1.0, 0.1, 2), times)
+        states = apply_memory_decay(bell_diagonal_initial(0.3), amplitudes)
+        assert states.dtype == np.float64
+        x, z = pauli_x(), pauli_z()
+        bounds_record(states, x, z)
+        assert _traced_peak(lambda: bounds_record(states, x, z)) <= 5 * states.nbytes
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             run_sweep(SweepConfig(state="max_entangled", lambda_over_gamma0=-1.0))
