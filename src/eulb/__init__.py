@@ -49,12 +49,12 @@ from .sweep import (
     OracleReport,
     SweepConfig,
     SweepOutput,
-    emit_csv,
     figure_preset,
     format_config,
     oracle_report,
     parse_config,
     run_sweep,
+    write_sweep,
 )
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "discrepancy_report",
     "discrete_mode_oracle",
     "eigenvalues_hermitian",
-    "emit_csv",
     "evolved_bell_diagonal_closed_form",
     "figure_preset",
     "format_config",
@@ -92,4 +91,5 @@ __all__ = [
     "pauli_z",
     "run_sweep",
     "von_neumann_entropy",
+    "write_sweep",
 ]

@@ -53,7 +53,8 @@ def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:
     different basis ordering), and it is not positive semidefinite for all
     parameters.  It exists solely as an audit target for discrepancy_report;
     the sweep pipeline always evolves states through apply_memory_decay.
-    c is one amplitude or an array of them; the result gains c's axes.
+    c is one amplitude or an array of them; the result gains c's axes and,
+    its entries all real, is float64.
     """
     p = float(p)
     c = np.asarray(c, dtype=float)
@@ -62,7 +63,7 @@ def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:
     if not np.all(np.abs(c) <= 1.0):  # written so that NaN fails too
         raise ValueError(f"amplitude {c} out of range [-1, 1]")
     c2 = c * c
-    rho = np.zeros(c.shape + (4, 4), dtype=complex)
+    rho = np.zeros(c.shape + (4, 4))
     rho[..., 0, 0] = 0.25 * (1.0 + p) * c2
     rho[..., 1, 1] = 0.25 * (1.0 - p) + 0.25 * (1.0 + p) * (1.0 - c2)
     rho[..., 2, 2] = 0.25 * (1.0 - p) * c2

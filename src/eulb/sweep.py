@@ -8,7 +8,7 @@ temporaries are alive at a time.  write_sweep renders each block to CSV,
 _RENDER_ROWS rows at a time, and writes it before the next block is
 computed; run_sweep instead collects the blocks into one stacked ledger
 per N, a BoundsRecord whose fields are arrays over the grid, and
-emit_csv renders such a held sweep the same way.  Output is deterministic:
+render_csv renders such a held sweep the same way.  Output is deterministic:
 the same configuration always produces byte-identical CSV.
 """
 
@@ -296,58 +296,38 @@ def _csv_chunks(
             yield row_format * len(block) % tuple(block.ravel().tolist())
 
 
-def _render(output: SweepOutput) -> bytearray:
-    """A held sweep's CSV, its chunks appended to a single buffer."""
+def render_csv(output: SweepOutput) -> str:
+    """A held sweep's CSV: the text write_sweep writes for output.config."""
     data = bytearray()
     for chunk in _csv_chunks(output.config, output.ledgers.items()):
         data += chunk
-    return data
-
-
-def render_csv(output: SweepOutput) -> str:
-    return _render(output).decode("ascii")
-
-
-def emit_csv(output: SweepOutput, destination) -> bytearray:
-    """Write a held sweep as CSV bytes ('\\n' endings, 12 significant digits).
-
-    destination may be a path or a binary file object.  The CSV is rendered
-    once, into one bytearray, which is written and returned either way.  To
-    write a sweep without holding its ledger or its CSV, use write_sweep.
-    """
-    data = _render(output)
-    if hasattr(destination, "write"):
-        destination.write(data)
-        return data
-    path = Path(destination)
-    try:
-        path.write_bytes(data)
-    except OSError as exc:
-        raise OSError(f"failed to write CSV to {path}: {exc}") from exc
-    return data
+    return data.decode("ascii")
 
 
 def write_sweep(config: SweepConfig, destination) -> None:
-    """Evaluate the sweep and write its CSV to the path destination, block
-    by block: the bytes emit_csv(run_sweep(config), destination) writes.
+    """Evaluate the sweep and write its CSV ('\\n' endings, 12 significant
+    digits) to destination, a path or a binary file object, block by block.
 
     Each ledger block is rendered and written before the next is computed,
     so the working set is one block plus the time grid (8 B a row).  The
     config is validated, every N's reservoir built and the time grid
-    computed before the file is opened, so those refusals leave no file;
-    a file that cannot be opened raises OSError naming the path before any
-    ledger work.  A fault found once the file is open (a write error,
-    |C| > 1 + 1e-9 in the channel, an eigenvalue below the entropy floor)
-    raises and leaves a partial file: the header and the blocks written
-    before it.
+    computed before the first byte is written, so those refusals write
+    nothing.  A path that cannot be opened or written raises OSError naming
+    the path; an OSError from a file object propagates unchanged.  A fault
+    found once writing has begun (a write error, |C| > 1 + 1e-9 in the
+    channel, an eigenvalue below the entropy floor) raises and leaves a
+    partial CSV: the header and the blocks written before it.
     """
     reservoirs = _reservoirs(config)
     times = _time_grid(config)
+    chunks = _csv_chunks(config, _ledger_blocks(config, reservoirs, times))
+    if hasattr(destination, "write"):
+        destination.writelines(chunks)
+        return
     path = Path(destination)
     try:
         with path.open("wb") as file:
-            for chunk in _csv_chunks(config, _ledger_blocks(config, reservoirs, times)):
-                file.write(chunk)
+            file.writelines(chunks)  # unlike a for loop, drops each chunk once written
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
 

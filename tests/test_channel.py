@@ -182,7 +182,8 @@ class TestEvolvedConstructors:
         for p in np.linspace(0, 1, 6):
             for c in np.linspace(-1, 1, 9):
                 rho = evolved_bell_diagonal_closed_form(p, c)
-                assert abs(rho.trace().real - 1.0) < 1e-15
+                assert rho.dtype == np.float64
+                assert abs(rho.trace() - 1.0) < 1e-15
 
     def test_bell_closed_form_is_inconsistent_at_full_amplitude(self):
         # the tabulated matrix fails its own c = 1 limit: corner coherence is

@@ -42,7 +42,6 @@ def test_public_api_is_pinned():
         "discrepancy_report",
         "discrete_mode_oracle",
         "eigenvalues_hermitian",
-        "emit_csv",
         "evolved_bell_diagonal_closed_form",
         "figure_preset",
         "format_config",
@@ -54,4 +53,5 @@ def test_public_api_is_pinned():
         "pauli_z",
         "run_sweep",
         "von_neumann_entropy",
+        "write_sweep",
     }

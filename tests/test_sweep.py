@@ -20,7 +20,6 @@ from eulb.sweep import (
     OracleReport,
     SweepConfig,
     SweepOutput,
-    emit_csv,
     figure_preset,
     format_config,
     oracle_report,
@@ -414,40 +413,6 @@ class TestCsv:
         seams = dataclasses.replace(bell, steps=2 * sweep_mod._RENDER_ROWS + 1)
         self._assert_rows_match_reference(run_sweep(seams))
 
-    def test_emit_peak_stays_near_the_csv_size(self, tmp_path):
-        # The CSV is held once, as the returned buffer; the rows of one render
-        # block and that N's columns add a fraction of it.  A second copy of
-        # the text at any moment would read 2x or more.
-        output = run_sweep(figure_preset(2))
-        assert sum(len(ledger.t) for ledger in output.ledgers.values()) >= 8000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            data = emit_csv(output, tmp_path / "out.csv")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * len(data)
-
-    def test_emit_to_path_and_bytes(self, tmp_path):
-        out = run_sweep(SMALL)
-        target = tmp_path / "out.csv"
-        data = emit_csv(out, target)
-        assert target.read_bytes() == data
-        assert data.decode("ascii") == render_csv(out)
-
-    def test_emit_to_binary_file_object(self):
-        out = run_sweep(SMALL)
-        buffer = io.BytesIO()
-        data = emit_csv(out, buffer)
-        assert buffer.getvalue() == data
-
-    def test_emit_write_failure_mentions_path(self, tmp_path):
-        out = run_sweep(SMALL)
-        missing = tmp_path / "nope" / "out.csv"
-        with pytest.raises(OSError, match="nope"):
-            emit_csv(out, missing)
-
 
 class TestWriteSweep:
     @pytest.mark.parametrize("state", ["max_entangled", "bell_diagonal"])
@@ -460,6 +425,33 @@ class TestWriteSweep:
         target = tmp_path / "out.csv"
         write_sweep(cfg, target)
         assert target.read_bytes() == render_csv(run_sweep(cfg)).encode("ascii")
+
+    def test_to_binary_file_object(self):
+        buffer = io.BytesIO()
+        write_sweep(SMALL, buffer)
+        assert buffer.getvalue() == render_csv(run_sweep(SMALL)).encode("ascii")
+
+    def test_write_failure_mentions_path(self, tmp_path):
+        missing = tmp_path / "nope" / "out.csv"
+        with pytest.raises(OSError, match="nope"):
+            write_sweep(SMALL, missing)
+
+    def test_file_object_sees_no_refusal_and_keeps_its_own_errors(self):
+        buffer = io.BytesIO()
+        with pytest.raises(ConfigError):
+            write_sweep(dataclasses.replace(SMALL, steps=1), buffer)
+        assert buffer.getvalue() == b""
+
+        class Full(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError("device full")
+
+        with pytest.raises(OSError) as info:
+            write_sweep(SMALL, Full())
+        assert str(info.value) == "device full"
 
     def test_peak_grows_by_the_time_grid_only(self, tmp_path):
         # The time grid is 8 B a row; holding the columns and the CSV would
