@@ -86,7 +86,8 @@ def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
     the entropies h of the unnormalised branch spectra, using
     p S(sigma/p) = h + p log2 p.  Zero-probability outcomes contribute 0."""
     live = p > ZERO_PROBABILITY_TOL
-    return s_b - np.where(live, h + p * np.log2(np.where(live, p, 1.0)), 0.0).sum(axis=-1)
+    chi = s_b - np.where(live, h + p * np.log2(np.where(live, p, 1.0)), 0.0).sum(axis=-1)
+    return np.maximum(chi, 0.0, out=chi)  # roundoff guard: a zero chi can come out -1e-16
 
 
 @dataclass(frozen=True)

@@ -73,13 +73,15 @@ class ConfigError(ValueError):
 class SweepConfig:
     """Sweep parameters; time is dimensionless gamma0*t on a uniform grid from 0.
 
+    The memory qubit B decays from its level 0.  Both states are invariant
+    under X x X, so decay from level 1 would give the same ledger.
+
     state:              'max_entangled' or 'bell_diagonal'
     lambda_over_gamma0: reservoir spectral width over relaxation rate
     p:                  Bell-diagonal mixing weight (ignored for max_entangled)
     n_qubits_list:      qubit counts to sweep (duplicate-free)
     t_max_gamma0:       end of the time grid
     steps:              number of grid points including t = 0
-    excited_label:      which B basis level decays (0 or 1)
     """
 
     state: str
@@ -88,7 +90,6 @@ class SweepConfig:
     n_qubits_list: tuple[int, ...] = (1, 2, 5, 10)
     t_max_gamma0: float = 20.0
     steps: int = 2001
-    excited_label: int = 0
 
 
 def validate_config(config: SweepConfig) -> SweepConfig:
@@ -114,8 +115,6 @@ def validate_config(config: SweepConfig) -> SweepConfig:
             f"steps x len(n_qubits_list) = {config.steps * len(ns)} exceeds the limit of "
             f"{_MAX_SWEEP_ROWS} rows per sweep"
         )
-    if not _is_int(config.excited_label) or config.excited_label not in (0, 1):
-        raise ConfigError(f"excited_label must be 0 or 1, got {config.excited_label!r}")
     return config
 
 
@@ -136,7 +135,6 @@ def figure_preset(fig: int) -> SweepConfig:
 
 # --- configuration document -------------------------------------------------
 
-_INT_KEYS = {"steps", "excited_label"}
 _FLOAT_KEYS = {"lambda_over_gamma0", "p", "t_max_gamma0"}
 
 
@@ -168,7 +166,7 @@ def parse_config(text: str) -> SweepConfig:
                 values[key] = value
             elif key == "n_qubits_list":
                 values[key] = tuple(int(part.strip()) for part in value.split(","))
-            elif key in _INT_KEYS:
+            elif key == "steps":
                 values[key] = int(value)
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
@@ -194,7 +192,6 @@ def format_config(config: SweepConfig) -> str:
             "n_qubits_list = " + ", ".join(str(int(n)) for n in config.n_qubits_list),
             f"t_max_gamma0 = {float(config.t_max_gamma0)!r}",
             f"steps = {int(config.steps)}",
-            f"excited_label = {int(config.excited_label)}",
         ]
     )
 
@@ -252,7 +249,7 @@ def _ledger_blocks(
         for start in range(0, len(times), _LEDGER_ROWS):
             t = times[start : start + _LEDGER_ROWS]
             amplitudes = decay_amplitude(params, t)
-            states = apply_memory_decay(initial, amplitudes, excited=config.excited_label)
+            states = apply_memory_decay(initial, amplitudes)
             yield n, bounds_record(states, x, z, t=t, amplitude=amplitudes)
 
 

@@ -17,7 +17,10 @@ for the four figure presets at 51 time points plus fig 4 with the other
 memory level decaying.  The file was written by the per-state (Jacobi)
 engine; any later engine must reproduce every column within GOLDEN_ATOL.
 The rendered 12-digit CSV cannot carry this gate: its last digit flips
-under roundoff-level changes.
+under roundoff-level changes.  The presets run through run_sweep.  A sweep
+always decays memory level 0, so fig4_excited1 is built from the channel:
+decay_amplitude on the grid, apply_memory_decay(..., excited=1), then
+bounds_record.
 
 Regenerate (only when a change of the values is intended) with
 
@@ -37,6 +40,7 @@ import pytest
 
 from eulb.bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
+from eulb.reservoir import ReservoirParams, decay_amplitude
 from eulb.sweep import figure_preset, run_sweep, write_sweep
 
 GOLDEN = Path(__file__).with_name("golden") / "ledger.csv"
@@ -50,7 +54,7 @@ B_PHASE = np.kron(np.eye(2), np.diag([1.0, np.exp(2j)]))
 STEPS = 51
 FIELDS = [f.name for f in dataclasses.fields(BoundsRecord)]
 MPMATH_FIELDS = FIELDS[2:]  # the ledger, without t and amplitude
-CASES = {
+CASES = {  # case: (figure preset, decaying memory level)
     "fig2": (2, 0),
     "fig3": (3, 0),
     "fig4": (4, 0),
@@ -59,9 +63,20 @@ CASES = {
 }
 
 
-def case_config(case: str):
+def case_ledgers(case: str) -> dict[int, BoundsRecord]:
+    """The case's ledger on the STEPS-point grid, one record per N in
+    ascending order."""
     fig, excited = CASES[case]
-    return dataclasses.replace(figure_preset(fig), steps=STEPS, excited_label=excited)
+    config = dataclasses.replace(figure_preset(fig), steps=STEPS)
+    if not excited:
+        return run_sweep(config).ledgers
+    times = np.linspace(0.0, config.t_max_gamma0, config.steps)
+    ledgers = {}
+    for n in sorted(config.n_qubits_list):
+        c = decay_amplitude(ReservoirParams(1.0, config.lambda_over_gamma0, n), times)
+        states = apply_memory_decay(bell_diagonal_initial(config.p), c, excited=excited)
+        ledgers[n] = bounds_record(states, pauli_x(), pauli_z(), t=times, amplitude=c)
+    return ledgers
 
 
 def load_golden() -> dict[str, list[tuple[int, list[float]]]]:
@@ -82,7 +97,7 @@ def golden():
 @pytest.mark.parametrize("case", list(CASES))
 def test_ledger_matches_golden(golden, case):
     expected = golden[case]
-    ledgers = run_sweep(case_config(case)).ledgers
+    ledgers = case_ledgers(case)
     assert [n for n, ledger in ledgers.items() for _ in ledger.t] == [n for n, _ in expected]
     want = np.array([values for _, values in expected])
     worst = {}
@@ -198,7 +213,7 @@ def test_presets_run_in_real_arithmetic(preset_csvs):
 def write_golden() -> None:
     lines = [",".join(["case", "n", *FIELDS])]
     for case in CASES:
-        for n, ledger in run_sweep(case_config(case)).ledgers.items():
+        for n, ledger in case_ledgers(case).items():
             for i in range(len(ledger.t)):
                 values = [repr(float(getattr(ledger, f)[i])) for f in FIELDS]
                 lines.append(",".join([case, str(n)] + values))

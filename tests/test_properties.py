@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -111,6 +111,23 @@ def test_excited_label_one_is_flip_conjugated_channel(rho, c):
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(
+    initial=st.just(max_entangled_initial()) | st.floats(0.0, 1.0).map(bell_diagonal_initial),
+    c=arrays(float, st.integers(1, 9), elements=_unit),
+)
+def test_sweep_states_blind_to_the_decaying_level(initial, c):
+    # both sweep families are invariant under X x X, so decay from level 1 is
+    # decay from level 0 up to X on A, which only relabels the sigma_x and
+    # sigma_z outcomes, and X on B, which the ledger ignores.  A sweep
+    # therefore offers no choice of the decaying level.
+    x, z = pauli_x(), pauli_z()
+    zero = bounds_record(apply_memory_decay(initial, c), x, z)
+    one = bounds_record(apply_memory_decay(initial, c, excited=1), x, z)
+    for f in fields(BoundsRecord):
+        assert np.max(np.abs(getattr(one, f.name) - getattr(zero, f.name))) <= 1e-12, f.name
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
     rho=states() | states(real=True),
     c=arrays(float, st.integers(1, 9), elements=_unit),
     excited=st.sampled_from([0, 1]),
@@ -197,9 +214,10 @@ SWEEP_EPS = 1e-13
     t_max=st.floats(1e-3, 100.0),
     p=st.floats(0.0, 1.0),
     state=st.sampled_from(["max_entangled", "bell_diagonal"]),
-    excited=st.sampled_from([0, 1]),
 )
-def test_sweep_rows_keep_the_bounds_chain(lam, ns, t_max, p, state, excited):
+# Bell-diagonal at p = 0 has a branch of zero chi, which came out -1.1e-16
+@example(lam=1.0, ns=[215], t_max=26.23872491697007, p=0.0, state="bell_diagonal")
+def test_sweep_rows_keep_the_bounds_chain(lam, ns, t_max, p, state):
     # the whole pipeline, amplitude to ledger, on short grids across the
     # parameter space.  The record carries no S(B), so chi is bounded by
     # I(A;B): measuring A cannot raise its correlation with B.
@@ -210,7 +228,6 @@ def test_sweep_rows_keep_the_bounds_chain(lam, ns, t_max, p, state, excited):
         n_qubits_list=tuple(ns),
         t_max_gamma0=t_max,
         steps=9,
-        excited_label=excited,
     )
     for rec in run_sweep(config).ledgers.values():
         assert all(np.isfinite(getattr(rec, f.name)).all() for f in fields(BoundsRecord))

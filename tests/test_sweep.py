@@ -59,7 +59,6 @@ class TestConfigDocument:
         assert cfg.t_max_gamma0 == 20.0
         assert cfg.steps == 2001
         assert cfg.p == 0.5
-        assert cfg.excited_label == 0
 
     def test_bell_default_weight(self):
         cfg = parse_config("state = bell_diagonal\nlambda_over_gamma0 = 40\n")
@@ -77,7 +76,6 @@ class TestConfigDocument:
             n_qubits_list=(1, 4, 9),
             t_max_gamma0=7.5,
             steps=301,
-            excited_label=1,
         )
         assert parse_config(format_config(cfg)) == cfg
 
@@ -89,7 +87,6 @@ class TestConfigDocument:
             n_qubits_list=(1, 4),
             t_max_gamma0=7.5,
             steps=301,
-            excited_label=1,
         )
         cfg = SweepConfig(
             state="bell_diagonal",
@@ -98,7 +95,6 @@ class TestConfigDocument:
             n_qubits_list=(np.int64(1), np.int64(4)),
             t_max_gamma0=np.float64(7.5),
             steps=np.int64(301),
-            excited_label=np.int64(1),
         )
         assert format_config(cfg) == format_config(plain)
         assert parse_config(format_config(cfg)) == cfg
@@ -139,8 +135,8 @@ class TestConfigDocument:
             parse_config("state = max_entangled\nlambda_over_gamma0 = 1\nsteps = 1\n")
         with pytest.raises(ConfigError, match="duplicates"):
             parse_config("state = max_entangled\nlambda_over_gamma0 = 1\nn_qubits_list = 2, 2\n")
-        with pytest.raises(ConfigError, match="excited_label"):
-            parse_config("state = max_entangled\nlambda_over_gamma0 = 1\nexcited_label = 2\n")
+        with pytest.raises(ConfigError, match="unknown key 'excited_label'"):
+            parse_config("state = max_entangled\nlambda_over_gamma0 = 1\nexcited_label = 0\n")
 
 
 class TestConfigLimits:
@@ -149,12 +145,6 @@ class TestConfigLimits:
     def test_bool_steps_rejected(self):
         with pytest.raises(ConfigError, match="steps"):
             validate_config(dataclasses.replace(self.BASE, steps=True))
-
-    def test_bool_excited_label_rejected(self):
-        with pytest.raises(ConfigError, match="excited_label"):
-            validate_config(dataclasses.replace(self.BASE, excited_label=True))
-        with pytest.raises(ConfigError, match="excited_label"):
-            validate_config(dataclasses.replace(self.BASE, excited_label=np.True_))
 
     def test_bool_qubit_count_rejected(self):
         with pytest.raises(ConfigError, match="n_qubits_list"):
@@ -168,10 +158,6 @@ class TestConfigLimits:
     def test_float_qubit_count_rejected(self):
         with pytest.raises(ConfigError, match="n_qubits_list"):
             validate_config(dataclasses.replace(self.BASE, n_qubits_list=(2.0,)))
-
-    def test_float_excited_label_rejected(self):
-        with pytest.raises(ConfigError, match="excited_label"):
-            validate_config(dataclasses.replace(self.BASE, excited_label=1.0))
 
     def test_numpy_reals_accepted(self):
         cfg = dataclasses.replace(
@@ -191,9 +177,7 @@ class TestConfigLimits:
                 validate_config(dataclasses.replace(self.BASE, t_max_gamma0=value))
 
     def test_numpy_integers_accepted(self):
-        cfg = dataclasses.replace(
-            self.BASE, steps=np.int64(3), n_qubits_list=(np.int32(2),), excited_label=np.int8(1)
-        )
+        cfg = dataclasses.replace(self.BASE, steps=np.int64(3), n_qubits_list=(np.int32(2),))
         assert validate_config(cfg) is cfg
         assert parse_config(format_config(cfg)) == cfg
 
@@ -263,13 +247,13 @@ class TestRunSweep:
         # bit what one bounds_record call on the whole time stack returns
         cfg = SweepConfig(
             state=state, lambda_over_gamma0=0.1, p=0.3, n_qubits_list=(2,),
-            t_max_gamma0=30.0, steps=2 * sweep_mod._LEDGER_ROWS + 1, excited_label=1,
+            t_max_gamma0=30.0, steps=2 * sweep_mod._LEDGER_ROWS + 1,
         )
         ledger = run_sweep(cfg).ledgers[2]
         times = np.linspace(0.0, cfg.t_max_gamma0, cfg.steps)
         amplitudes = decay_amplitude(ReservoirParams(1.0, cfg.lambda_over_gamma0, 2), times)
         initial = max_entangled_initial() if state == "max_entangled" else bell_diagonal_initial(cfg.p)
-        states = apply_memory_decay(initial, amplitudes, excited=1)
+        states = apply_memory_decay(initial, amplitudes)
         whole = bounds_record(states, pauli_x(), pauli_z(), t=times, amplitude=amplitudes)
         for f in dataclasses.fields(BoundsRecord):
             got, want = getattr(ledger, f.name), getattr(whole, f.name)
@@ -320,19 +304,6 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(SweepConfig(state="max_entangled", lambda_over_gamma0=-1.0))
 
-    def test_excited_label_choice_does_not_change_bounds(self):
-        # relabeling which memory level decays is a local basis change for the
-        # maximally entangled family, so every information quantity agrees
-        base = dict(
-            state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,),
-            t_max_gamma0=4.0, steps=41,
-        )
-        a = run_sweep(SweepConfig(**base, excited_label=0)).ledgers[1]
-        b = run_sweep(SweepConfig(**base, excited_label=1)).ledgers[1]
-        assert np.max(np.abs(a.adabi - b.adabi)) < 1e-12
-        assert np.max(np.abs(a.u_left - b.u_left)) < 1e-12
-        assert np.max(np.abs(a.holevo_q - b.holevo_q)) < 1e-12
-
     def test_bell_sweep_t0_values(self):
         out = run_sweep(
             SweepConfig(
@@ -362,7 +333,8 @@ class TestCsv:
 
     def test_initial_row_rendering(self):
         text = render_csv(run_sweep(SMALL))
-        first_data = text.splitlines()[9]
+        lines = text.splitlines()
+        first_data = lines[lines.index(CSV_HEADER) + 1]
         fields = first_data.split(",")
         assert fields[0] == "1"
         assert fields[1] == "0"
@@ -373,7 +345,8 @@ class TestCsv:
 
     def test_twelve_significant_digits(self):
         text = render_csv(run_sweep(SMALL))
-        row = text.splitlines()[10].split(",")
+        lines = text.splitlines()
+        row = lines[lines.index(CSV_HEADER) + 2].split(",")
         assert row[2] == format(float(row[2]), ".12g")
         assert len(row) == 11
 
@@ -406,7 +379,7 @@ class TestCsv:
         self._assert_rows_match_reference(run_sweep(SMALL))
         bell = SweepConfig(
             state="bell_diagonal", lambda_over_gamma0=0.1, p=0.3, n_qubits_list=(2, 1),
-            t_max_gamma0=3.0, steps=31, excited_label=1,
+            t_max_gamma0=3.0, steps=31,
         )
         self._assert_rows_match_reference(run_sweep(bell))
         # two N, each crossing both seams between render blocks
@@ -420,7 +393,7 @@ class TestWriteSweep:
         # two N, each crossing the seams between ledger blocks and render blocks
         cfg = SweepConfig(
             state=state, lambda_over_gamma0=0.1, p=0.3, n_qubits_list=(5, 2),
-            t_max_gamma0=30.0, steps=2 * sweep_mod._LEDGER_ROWS + 1, excited_label=1,
+            t_max_gamma0=30.0, steps=2 * sweep_mod._LEDGER_ROWS + 1,
         )
         target = tmp_path / "out.csv"
         write_sweep(cfg, target)
@@ -454,16 +427,19 @@ class TestWriteSweep:
         assert str(info.value) == "device full"
 
     def test_peak_grows_by_the_time_grid_only(self, tmp_path):
-        # The time grid is 8 B a row; holding the columns and the CSV would
-        # read ~0.25 kB a row.
+        # The time grid is 8 B a row; holding the columns and the CSV read
+        # ~0.37 kB a row.  Both sizes are whole ledger blocks plus one row, and
+        # at least two blocks: a one-block sweep peaks at a different point.
+        rows = sweep_mod._LEDGER_ROWS
         cfg = SweepConfig(
-            state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,), steps=20_001
+            state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,), steps=2 * rows + 1
         )
         target = tmp_path / "out.csv"
         write_sweep(dataclasses.replace(cfg, steps=3), target)
         small = _traced_peak(lambda: write_sweep(cfg, target))
-        large = _traced_peak(lambda: write_sweep(dataclasses.replace(cfg, steps=60_001), target))
-        assert large - small < 16 * 40_000
+        ten = dataclasses.replace(cfg, steps=10 * rows + 1)
+        large = _traced_peak(lambda: write_sweep(ten, target))
+        assert large - small < 16 * 8 * rows
 
 
 class TestOracleReport:
