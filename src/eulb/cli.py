@@ -7,10 +7,12 @@ Subcommands:
 
 The discrete-mode oracle (--discrete-modes M) samples M equal-weight modes
 over a fixed window of 20 lambda; the mode count is its one setting.  A
-run whose grid reaches the modes' recurrence time is a validation error:
-oracle_report raises it before any propagation.
+row that fails is rerun on ceil(M / 2) modes; if C(t) moves by more than
+the tolerance between the two, M is too few to check anything, which is a
+validation error naming a larger count.  M = 1 is refused outright.
 
-Exit codes: 0 success, 1 validation error, 2 oracle tolerance failure.
+Exit codes: 0 success, 1 validation error, 2 oracle tolerance failure (of a
+resolved discrete reservoir, or of the kernel ODE).
 """
 
 from __future__ import annotations

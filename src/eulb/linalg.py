@@ -77,7 +77,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """Binary entropy -x log2 x - (1-x) log2 (1-x) in bits, for x in [0, 1], elementwise."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails both comparisons
         raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
     x = np.clip(x, 0.0, 1.0)
     return entropy_from_eigenvalues(np.stack([x, 1.0 - x], axis=-1))

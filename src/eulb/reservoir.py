@@ -125,14 +125,6 @@ class ModeGrid:
     def n_modes(self) -> int:
         return self.frequencies.size
 
-    @property
-    def recurrence_time(self) -> float:
-        """2 pi over the smallest mode spacing: from here on the discretized
-        reservoir returns its excitation to the qubits.  One mode has no
-        spacing and no recurrence of its own, so it gives math.inf."""
-        gaps = np.diff(self.frequencies)
-        return 2.0 * math.pi / float(gaps.min()) if gaps.size else math.inf
-
 
 def decay_amplitude(params: ReservoirParams, t):
     """Closed-form decay amplitude C(t); scalar in, scalar out (arrays broadcast).
@@ -273,10 +265,9 @@ def build_mode_grid(params: ReservoirParams, n_modes: int, window: float) -> Mod
     lambda)], and every mode gets coupling^2 = gamma0 lambda dtheta / 2 pi,
     the cell's exact weight of J (the "density of frequencies" grid of Wang,
     Thoss & Miller, J. Chem. Phys. 115, 2979 (2001)).  Modes crowd where J
-    is large: the spacing near resonance is about lambda dtheta, so the
-    recurrence time is about pi n_modes / (lambda atan(window / lambda)).
-    n_modes is an integer in [1, 10^6] and window a positive finite real;
-    both are checked before anything is allocated.
+    is large: the spacing near resonance is about lambda dtheta.  n_modes
+    is an integer in [1, 10^6] and window a positive finite real; both are
+    checked before anything is allocated.
     """
     if not _is_int(n_modes) or not 1 <= n_modes <= _MAX_MODES:
         raise ValueError(f"n_modes must be an integer in [1, {_MAX_MODES}], got {n_modes!r}")
@@ -387,18 +378,13 @@ def discrete_mode_oracle(
     earlier norm check).
 
     The propagation is exact for the discretized reservoir at every time;
-    it converges to the closed form as n_modes and window grow, up to
-    mode_grid.recurrence_time, after which the discretized reservoir
-    returns its excitation.  Whether a grid is a check of the
-    continuum is oracle_report's decision.  N and a t_max are each at most
-    10^6, checked before anything is allocated.
+    it converges to the closed form as n_modes and window grow.  Whether a
+    grid is a check of the continuum is oracle_report's decision.  a t_max
+    is at most 10^6, checked before anything is allocated: N enters only
+    through a, so this one cap bounds K and the cut's FFT for any N.
     """
     grid = _validate_grid(t_grid)
     n = params.n_qubits
-    # The vector has 1 + n_modes entries for any N, so this cap bounds no
-    # allocation.  It bounds the run time: K grows as sqrt(N) through a.
-    if n > 1_000_000:
-        raise ValueError(f"n_qubits must be at most 10^6 for the discrete-mode oracle, got {n}")
     freqs = mode_grid.frequencies
     coupling = math.sqrt(n) * mode_grid.couplings
     f_min, f_max = float(freqs.min()), float(freqs.max())

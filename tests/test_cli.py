@@ -197,58 +197,70 @@ def test_window_option_removed(capsys):
     assert "unrecognized arguments: --window" in capsys.readouterr().err
 
 
-def test_oracle_single_mode_propagates(tmp_path, capsys):
-    # one mode has no spacing, so no recurrence refuses it: it propagates,
-    # and fails the tolerance on its own (a Rabi oscillation, not a decay)
+def test_oracle_single_mode_refused(tmp_path, monkeypatch, capsys):
+    # one mode has no coarser grid: ceil(1 / 2) = 1 would read as resolved
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY_CONFIG)
-    assert main(["oracle", "--config", str(path), "--discrete-modes", "1"]) == 2
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[-1] == "result: FAIL"
-    assert "discrete-mode N=1" in lines[-3] and lines[-3].endswith("FAIL")
-
-
-def test_oracle_refuses_recurring_modes_before_propagating(tmp_path, monkeypatch, capsys):
-    # fig 3: 300 equal-weight modes over a window of 20 lambda = 800 recur at
-    # 2 pi over their smallest spacing, 15.49, before the grid end 20; the
-    # refusal names ceil(1.5 * 20 * 300 / 15.49) = 581
-    path = tmp_path / "fig3.cfg"
-    path.write_text(eulb.format_config(eulb.figure_preset(3)))
 
     def propagate(*args, **kwargs):
         raise AssertionError("the discrete-mode oracle ran")
 
     monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", propagate)
-    assert main(["oracle", "--config", str(path), "--discrete-modes", "300"]) == 1
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "1"]) == 1
     captured = capsys.readouterr()
-    assert "recur at gamma0 t = 15.4926 (2 pi over the smallest mode spacing)" in captured.err
-    assert "--discrete-modes 581 or more" in captured.err
+    assert "1 discrete mode has no coarser grid" in captured.err
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(("modes", "code"), [("95", 1), ("96", 2)])
-def test_oracle_recurrence_check_boundary(tmp_path, capsys, modes, code):
-    # window 20 lambda = 20 and grid end 197: 95 modes recur at 196.17, 96 at
-    # 198.29, so 96 propagates, and fails: it clears the recurrence but is
-    # too coarse for lambda = gamma0; the refusal names
-    # ceil(1.5 * 197 * 95 / 196.17) = 144
-    path = tmp_path / "tiny.cfg"
-    path.write_text(TINY_CONFIG.replace("t_max_gamma0 = 1", "t_max_gamma0 = 197"))
-    assert main(["oracle", "--config", str(path), "--discrete-modes", modes]) == code
+# lambda = gamma0: the qubits' spectral weight sits off resonance, where the
+# equal-weight modes are sparse, so few modes fail without recurring
+OFF_RESONANT_CONFIG = (
+    "state = max_entangled\nlambda_over_gamma0 = 1.0\n"
+    "n_qubits_list = 1\nt_max_gamma0 = 15\nsteps = 301\n"
+)
+
+
+def test_oracle_refuses_unresolved_modes(tmp_path, capsys):
+    # 24 modes deviate by 3.8e-2, and C(t) moves by 0.262 against 12 modes,
+    # far beyond the tolerance: no check of the closed form, so exit 1 and
+    # ceil(24 (0.262 / 5e-3)^(2/3)) = 336
+    path = tmp_path / "off.cfg"
+    path.write_text(OFF_RESONANT_CONFIG)
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "24"]) == 1
     captured = capsys.readouterr()
-    if code == 1:
-        assert "--discrete-modes 144 or more" in captured.err and captured.out == ""
-    else:
-        assert captured.out.rstrip().endswith("result: FAIL")
+    assert captured.err.startswith("error: 24 discrete modes are unresolved: C(t) moves by 0.262")
+    assert "at N = 1 against the 12-mode grid (tol 0.005)" in captured.err
+    assert "--discrete-modes 336 or more" in captured.err
+    assert captured.out == ""
 
 
 def test_oracle_named_mode_count_passes(tmp_path, capsys):
-    # on the fig 3 preset the count that the refusal names must itself pass,
-    # not only clear the recurrence: 300 modes are refused and name 581
-    path = tmp_path / "fig3.cfg"
-    path.write_text(eulb.format_config(eulb.figure_preset(3)).replace("1, 2, 5, 10", "1"))
-    assert main(["oracle", "--config", str(path), "--discrete-modes", "300"]) == 1
+    # the count that the refusal names must itself pass
+    path = tmp_path / "off.cfg"
+    path.write_text(OFF_RESONANT_CONFIG)
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "24"]) == 1
     needed = re.search(r"--discrete-modes (\d+) or more", capsys.readouterr().err).group(1)
-    assert needed == "581"
     assert main(["oracle", "--config", str(path), "--discrete-modes", needed]) == 0
     assert capsys.readouterr().out.rstrip().endswith("result: PASS")
+
+
+def test_oracle_resolved_disagreement_exits_2(tmp_path, monkeypatch, capsys):
+    # a closed form off by 0.1 fails every row at a resolved 300 modes; the
+    # failing rows are rerun on 150 modes, which agree, so the failure is
+    # the closed form's: exit 2
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG.replace("n_qubits_list = 1", "n_qubits_list = 1, 2"))
+    closed, propagate = sweep_mod.decay_amplitude, sweep_mod.discrete_mode_oracle
+    runs = []
+
+    def counted(params, times, modes):
+        runs.append((params.n_qubits, modes.n_modes))
+        return propagate(params, times, modes)
+
+    monkeypatch.setattr(sweep_mod, "decay_amplitude", lambda *args: closed(*args) + 0.1)
+    monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", counted)
+    assert main(["oracle", "--config", str(path), "--discrete-modes", "300"]) == 2
+    assert runs == [(1, 300), (1, 150), (2, 300), (2, 150)]
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1] == "result: FAIL"
+    assert all(line.endswith("FAIL") for line in lines if "discrete-mode N=" in line)

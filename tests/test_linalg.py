@@ -229,5 +229,7 @@ class TestBinaryEntropy:
         assert binary_entropy(1 + 1e-13) == 0.0
 
     def test_domain_error(self):
-        with pytest.raises(ValueError, match="outside"):
-            binary_entropy(1.5)
+        # NaN used to pass the range check and come out as entropy 0
+        for x in (1.5, math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                binary_entropy(x)

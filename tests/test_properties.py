@@ -27,6 +27,7 @@ from eulb.bounds import (
 )
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.linalg import von_neumann_entropy
+from eulb.reservoir import ReservoirParams, decay_amplitude
 from eulb.sweep import SweepConfig, run_sweep
 
 TOL = 1e-9
@@ -237,3 +238,38 @@ def test_sweep_rows_keep_the_bounds_chain(lam, ns, t_max, p, state):
         for chi in (rec.holevo_q, rec.holevo_r):
             assert np.all(chi >= 0.0)
             assert np.all(chi <= rec.mutual_info + SWEEP_EPS)
+
+
+# Criterion 12, adding qubits protects the bound, as two properties: the
+# bound cannot rise as |C| grows, and |C| grows with N in the overdamped
+# regime lambda >= 2 N gamma0.
+MONOTONE_EPS = 1e-13
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(rho=states() | states(real=True), pair=observable_pairs(), b=_unit, ratio=_unit)
+def test_bound_nonincreasing_in_the_amplitude(rho, pair, b, ratio):
+    # for |a| <= |b|, AD(a) = AD(a / b) AD(b) is AD(b) followed by a further
+    # channel on B, under which S(X|B) and S(A|B) cannot fall (data
+    # processing); so u_left and Berta at a are at least their values at b.
+    # Adabi adds max(0, delta) and has no such proof; hypothesis finds no
+    # counterexample for it either.
+    q, r, _ = pair
+    rec = bounds_record(apply_memory_decay(rho, np.array([ratio * b, b])), q, r)
+    for name in ("u_left", "berta", "adabi"):
+        weak, strong = getattr(rec, name)
+        assert weak >= strong - MONOTONE_EPS, name
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    ns=st.lists(st.integers(1, 200), min_size=2, max_size=5, unique=True).map(sorted),
+    excess=st.floats(0.0, 3.0).map(lambda e: 10.0**e),
+    t=arrays(float, st.integers(1, 9), elements=st.floats(0.0, 100.0)),
+)
+def test_amplitude_nondecreasing_in_n_when_overdamped(ns, excess, t):
+    # at lambda >= 2 N_max gamma0 every C_N(t) decays without oscillating,
+    # and more qubits hold more of the excitation at every time
+    lam = 2.0 * ns[-1] * excess
+    c = np.abs([decay_amplitude(ReservoirParams(1.0, lam, n), t) for n in ns])
+    assert np.all(np.diff(c, axis=0) >= -MONOTONE_EPS)

@@ -371,20 +371,6 @@ class TestModeGrid:
         assert np.allclose(grid.frequencies, 5.0 * np.tan(theta), rtol=1e-14, atol=0)
         assert np.allclose(grid.couplings, np.sqrt(2.0 * 5.0 * (edge / 2) / (2 * np.pi)), rtol=1e-14)
 
-    def test_recurrence_time(self):
-        # 2 pi over the smallest spacing, the pair around resonance:
-        # 2 lambda tan(dtheta / 2) for an even count, lambda tan(dtheta) for odd
-        params = ReservoirParams(1.0, 1.0, 1)
-        cell = 2.0 * np.arctan(20.0)
-        assert build_mode_grid(params, 8, 20.0).recurrence_time == pytest.approx(
-            2 * np.pi / (2 * np.tan(cell / 16)), rel=1e-12
-        )
-        assert build_mode_grid(params, 7, 20.0).recurrence_time == pytest.approx(
-            2 * np.pi / np.tan(cell / 7), rel=1e-12
-        )
-        # one mode has no spacing and so no recurrence
-        assert build_mode_grid(params, 1, 20.0).recurrence_time == math.inf
-
     def test_holds_only_the_modes(self):
         # the grid is its frequencies and couplings; the count is read from them
         grid = build_mode_grid(ReservoirParams(1.0, 1.0, 1), np.int64(5), 20.0)
@@ -430,12 +416,18 @@ class TestDiscreteModeOracle:
 
     def test_qubit_count_bounded_for_run_time(self):
         # the vector has 1 + n_modes entries for any N, but the half-width a
-        # includes sqrt(N) ||g||, so the step count grows as sqrt(N): 10^12
-        # qubits must be refused before the first step
+        # includes sqrt(N) ||g||, so K grows as sqrt(N): the phase cap alone
+        # refuses 10^12 qubits (a t_max = 1.37e6) before anything is allocated
         params = ReservoirParams(1.0, 1.0, 10**12)
         grid = build_mode_grid(params, 20, 10.0)
-        with pytest.raises(ValueError, match="n_qubits"):
-            discrete_mode_oracle(params, np.array([0.0, 0.1]), grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"a t_max must be at most 1e\+06 .*got 1\.3686"):
+                discrete_mode_oracle(params, np.array([0.0, 2.0]), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def _exact_amplitudes(params, t, mode_grid):

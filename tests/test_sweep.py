@@ -473,29 +473,9 @@ class TestOracleReport:
         assert report.discrete_max_norm_error is not None
         assert report.discrete_max_norm_error <= 1e-8
 
-    def test_recurrence_reported(self, monkeypatch):
-        # 100 equal-weight modes over a window of 20 lambda recur at 2 pi over
-        # their smallest spacing, 2 pi / (2 tan(atan(20) / 100)) = 206.55
-        cfg = SweepConfig(
-            state="max_entangled",
-            lambda_over_gamma0=1.0,
-            n_qubits_list=(1, 2),
-            t_max_gamma0=207.0,
-            steps=5,
-        )
-        early = oracle_report(dataclasses.replace(cfg, t_max_gamma0=206.0), n_modes=100)
-        assert len(early.discrete) == 2
-
-        def propagate(*args, **kwargs):
-            raise AssertionError("the discrete-mode oracle ran")
-
-        monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", propagate)
-        with pytest.raises(ValueError, match=r"recur at gamma0 t = 206\.554"):
-            oracle_report(cfg, n_modes=100)
-
     def test_fig3_horizon_at_default_mode_count(self):
-        # equal-weight modes crowd near resonance: 2000 of them recur at 103,
-        # past the fig 3 horizon 20
+        # equal-weight modes crowd near resonance, where the Markovian fig 3
+        # dynamics live: 2000 of them pass at N = 10 with room to spare
         cfg = dataclasses.replace(figure_preset(3), n_qubits_list=(10,))
         report = oracle_report(cfg, n_modes=2000)
         assert report.passed and len(report.discrete) == 1
@@ -531,6 +511,32 @@ class TestOracleReport:
         )
         assert len(oracle_report(cfg, n_modes=100).discrete) == 3
         assert len(built) == 1
+
+    def test_passing_run_propagates_once_per_n(self, monkeypatch):
+        # the coarser grid is built only once a row has failed, so a passing
+        # run does the work of one grid
+        built, runs = [], []
+        build, propagate = sweep_mod.build_mode_grid, sweep_mod.discrete_mode_oracle
+
+        def built_grid(*args):
+            built.append(args[1])
+            return build(*args)
+
+        def counted(params, times, modes):
+            runs.append(params.n_qubits)
+            return propagate(params, times, modes)
+
+        monkeypatch.setattr(sweep_mod, "build_mode_grid", built_grid)
+        monkeypatch.setattr(sweep_mod, "discrete_mode_oracle", counted)
+        cfg = SweepConfig(
+            state="max_entangled",
+            lambda_over_gamma0=1.0,
+            n_qubits_list=(1, 2, 5),
+            t_max_gamma0=1.0,
+            steps=11,
+        )
+        assert oracle_report(cfg, n_modes=300).passed
+        assert built == [300] and runs == [1, 2, 5]
 
     def test_tolerance_failure_detected(self, monkeypatch):
         monkeypatch.setattr(sweep_mod, "KERNEL_ORACLE_TOL", 1e-30)
