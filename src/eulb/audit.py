@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import _ledger, pauli_x, pauli_z
 from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from .linalg import binary_entropy
-from .reservoir import _is_int
+from .reservoir import _is_real
 
 CONSISTENCY_TOL = 1e-9
 
@@ -36,13 +36,11 @@ CONSISTENCY_TOL = 1e-9
 # many amplitudes, each block one channel call and one ledger call on the
 # (2, block) stack of both families, which stays real; the ledger's
 # temporaries take ~0.9 kB per amplitude.  The closed forms run once over
-# the whole grid, so audit memory grows with the grid: their tracemalloc
-# peak is ~160 bytes per point, ~160 MB at the 10^6-point cap.  The
-# tracemalloc peak of a 101-point audit is ~0.025 MB at 8 amplitudes per
-# block, ~0.022 MB at 6, ~0.030 MB at 12 and ~0.036 MB at 16; per audit,
-# 6 take ~15% more time than 8, and 12 ~20% less (2-vCPU VM, numpy 2.4).
+# the whole grid.  The tracemalloc peak of the 101-point audit is ~0.025 MB
+# at 8 amplitudes per block, ~0.022 MB at 6, ~0.030 MB at 12 and ~0.036 MB
+# at 16; per audit, 6 take ~15% more time than 8, and 12 ~20% less (2-vCPU
+# VM, numpy 2.4).
 _AUDIT_BLOCK = 8
-_MAX_AUDIT_POINTS = 1_000_000
 
 
 def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:
@@ -56,10 +54,10 @@ def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:
     c is one amplitude or an array of them; the result gains c's axes and,
     its entries all real, is float64.
     """
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
     p = float(p)
     c = np.asarray(c, dtype=float)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     if not np.all(np.abs(c) <= 1.0):  # written so that NaN fails too
         raise ValueError(f"amplitude {c} out of range [-1, 1]")
     c2 = c * c
@@ -345,24 +343,21 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
-def discrepancy_report(p: float = 0.5, grid_points: int = 101) -> DiscrepancyReport:
+def discrepancy_report(p: float = 0.5) -> DiscrepancyReport:
     """Audit every closed form against the definition route over c in [0, 1].
 
-    Also compares the tabulated evolved Bell-diagonal matrix entrywise
-    against channel evolution of the same initial state.  Formulas whose
-    maximal deviation exceeds 1e-9 are marked FLAGGED; discrepancies are
-    reported, never raised.  grid_points is an integer in [2, 10^6].  The
-    closed forms are evaluated once over the whole grid; the definition
-    route and the matrix gap run in amplitude stacks of _AUDIT_BLOCK points.
+    The amplitude grid is fixed at 101 points, c = 0, 0.01, ..., 1.  Also
+    compares the tabulated evolved Bell-diagonal matrix entrywise against
+    channel evolution of the same initial state.  Formulas whose maximal
+    deviation exceeds 1e-9 are marked FLAGGED; discrepancies are reported,
+    never raised.  The closed forms are evaluated once over the whole grid;
+    the definition route and the matrix gap run in amplitude stacks of
+    _AUDIT_BLOCK points.
     """
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
     p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not _is_int(grid_points) or not 2 <= grid_points <= _MAX_AUDIT_POINTS:
-        raise ValueError(
-            f"grid_points must be an integer in [2, {_MAX_AUDIT_POINTS}], got {grid_points!r}"
-        )
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, 101)
     deviation = _closed_forms(grid)  # turned into |closed form - definition| block by block
     matrix_worst = (0.0, 0.0, (0, 0))
     # argmax takes the first maximum, and only a strictly greater matrix gap

@@ -1,15 +1,14 @@
 """One-sided amplitude decay on the memory qubit, and the reference initial states.
 
 The channel acts on the B factor of a two-qubit state: the population of
-the decaying (excited) basis level scales by c^2, coherences between the
-two levels scale by c, and the lost population lands on the absorbing
-level.  The amplitude c is signed; in the strong-coupling regime it
-genuinely crosses zero.  By default the decaying level is |0>, the
-convention under which the channel reproduces the evolved maximally
-entangled matrix literally (tests/conftest.py writes that matrix out as a
-reference).  apply_memory_decay takes one state or a (..., 4, 4) stack,
-and one amplitude or an array of them, such as a whole time series of
-C(t).
+the decaying level |0> scales by c^2, coherences between the two levels
+scale by c, and the lost population lands on the absorbing level |1>.
+The amplitude c is signed; in the strong-coupling regime it genuinely
+crosses zero.  With |0> decaying the channel reproduces the evolved
+maximally entangled matrix literally (tests/conftest.py writes that matrix
+out as a reference).  apply_memory_decay takes one state or a (..., 4, 4)
+stack, and one amplitude or an array of them, such as a whole time series
+of C(t).
 """
 
 from __future__ import annotations
@@ -19,43 +18,42 @@ import math
 import numpy as np
 
 from .linalg import _inexact
-from .reservoir import _is_int
+from .reservoir import _is_real
 
 _AMPLITUDE_SLACK = 1e-9  # |c| may exceed 1 by roundoff from the dynamics
 
 
-def apply_memory_decay(rho: np.ndarray, c, excited: int = 0) -> np.ndarray:
+def apply_memory_decay(rho: np.ndarray, c) -> np.ndarray:
     """Apply the decay channel with amplitude c to the B side of a 4x4 state.
 
-    Kraus elements (on B): K0 = c |e><e| + |g><g|, K1 = sqrt(1-c^2) |g><e|,
+    Kraus elements (on B): K0 = c |0><0| + |1><1|, K1 = sqrt(1-c^2) |1><0|,
     which preserve the trace identically.  c = 1 is the identity map and
-    c = -1 a phase flip on the excited level.  rho may be a (..., 4, 4)
-    stack and c an array of amplitudes; the two broadcast, so one state and
-    a series of amplitudes give one evolved state per amplitude.  Every
-    amplitude must be finite.  The map has real coefficients, so a real
-    state comes out float64 and a complex one complex128.
+    c = -1 a phase flip on level 0.  No choice of decaying level is offered:
+    decay from level 1 is X_B AD(X_B rho X_B) X_B, this channel conjugated
+    by a local unitary, and both reference states are invariant under
+    X x X.  rho may be a (..., 4, 4) stack and c an array of amplitudes;
+    the two broadcast, so one state and a series of amplitudes give one
+    evolved state per amplitude.  Every amplitude must be finite.  The map
+    has real coefficients, so a real state comes out float64 and a complex
+    one complex128.
     """
     rho = _inexact(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    if not _is_int(excited) or excited not in (0, 1):
-        raise ValueError(f"excited level must be 0 or 1, got {excited!r}")
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("channel amplitude must be finite")
     if np.any(np.abs(c) > 1.0 + _AMPLITUDE_SLACK):
         raise ValueError(f"channel amplitude |{np.max(np.abs(c))}| > 1 would break positivity")
     c = np.clip(c, -1.0, 1.0)
-    ground = 1 - excited
     # The Kraus pair acts elementwise on the B indices of r[..., a, b, a', b']:
-    # each excited B index scales an entry by c, and the lost population
-    # (1 - c^2) of every |e><e| block moves to the |g><g| block.
+    # each B index 0 scales an entry by c, and the lost population (1 - c^2)
+    # of every |0><0| block moves to the |1><1| block.
     level = np.ones(c.shape + (2,))
-    level[..., excited] = c
+    level[..., 0] = c
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     out = r * (level[..., None, :, None, None] * level[..., None, None, None, :])
-    lost = (1.0 - c * c)[..., None, None] * r[..., :, excited, :, excited]
-    out[..., :, ground, :, ground] += lost
+    out[..., :, 1, :, 1] += (1.0 - c * c)[..., None, None] * r[..., :, 0, :, 0]
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
@@ -84,9 +82,9 @@ def bell_diagonal_initial(p: float) -> np.ndarray:
     Marginals are maximally mixed for every p; the spectrum is
     {p, (1-p)/2, (1-p)/2, 0}.  The matrix is real (float64).
     """
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
     p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     kets = _bell_kets()
     rho = p * np.outer(kets["psi-"], kets["psi-"])
     for name in ("psi+", "phi+"):

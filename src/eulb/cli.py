@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--discrete-modes",
         type=int,
         default=None,
-        metavar="N",
-        help="also run the discretized-mode oracle with N modes",
+        metavar="M",
+        help="also run the discretized-mode oracle with M modes; an unresolved M exits 1 "
+        "and names a larger count",
     )
 
     audit = sub.add_parser("audit", help="closed-form vs definition discrepancy report")

@@ -35,10 +35,6 @@ from .reservoir import (
 
 KERNEL_ORACLE_TOL = 1e-12
 DISCRETE_ORACLE_TOL = 5e-3
-# Half-width of the discrete-mode frequency window over lambda.  The modes
-# outside it carry 1 - 2 atan(20) / pi = 3.2% of J's weight; the deviation
-# this leaves (~2e-4 to 4e-4 on the fig 2 preset) is well inside the tolerance.
-_WINDOW_OVER_LAMBDA = 20.0
 
 _STATES = ("max_entangled", "bell_diagonal")
 
@@ -403,8 +399,7 @@ def oracle_report(config: SweepConfig, n_modes: int | None = None) -> OracleRepo
     modes = coarse = None
     if n_modes is not None:
         unit = ReservoirParams(1.0, config.lambda_over_gamma0, 1)
-        window = _WINDOW_OVER_LAMBDA * config.lambda_over_gamma0
-        modes = build_mode_grid(unit, n_modes, window)
+        modes = build_mode_grid(unit, n_modes)
         if modes.n_modes == 1:
             raise ValueError("1 discrete mode has no coarser grid to check it against; use 2 or more")
     kernel_rows = []
@@ -433,7 +428,7 @@ def oracle_report(config: SweepConfig, n_modes: int | None = None) -> OracleRepo
             max_norm_err = err if max_norm_err is None else max(max_norm_err, err)
             if not row.passed:
                 if coarse is None:
-                    coarse = build_mode_grid(unit, (modes.n_modes + 1) // 2, window)
+                    coarse = build_mode_grid(unit, (modes.n_modes + 1) // 2)
                 half = discrete_mode_oracle(params, times, coarse)
                 refinement[n] = float(np.max(np.abs(traj.amplitudes - half.amplitudes)))
     worst = max(refinement.values(), default=0.0)

@@ -48,7 +48,7 @@ def test_criterion_02_discrete_mode_oracle():
     failures = []
     params = ReservoirParams(1.0, 40.0, 1)
     grid = np.linspace(0.0, 2.0, 201)
-    modes = build_mode_grid(params, 2000, 20.0 * params.lambda_)
+    modes = build_mode_grid(params, 2000)
     start = time.perf_counter()
     traj = discrete_mode_oracle(params, grid, modes)
     elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from conftest import (
     partial_trace,
     random_density_matrix,
 )
-from eulb.audit import evolved_bell_diagonal_closed_form
+from eulb.audit import discrepancy_report, evolved_bell_diagonal_closed_form
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.linalg import eigenvalues_hermitian, von_neumann_entropy
 
@@ -62,6 +62,26 @@ class TestInitialStates:
             bell_diagonal_initial(1.2)
 
 
+_P_TAKERS = {
+    "bell_diagonal_initial": bell_diagonal_initial,
+    "evolved_bell_diagonal_closed_form": lambda p: evolved_bell_diagonal_closed_form(p, 0.5),
+    "discrepancy_report": discrepancy_report,
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", b"1", True, np.True_, None, np.nan], ids=repr)
+@pytest.mark.parametrize("build", list(_P_TAKERS.values()), ids=list(_P_TAKERS))
+def test_p_must_be_a_real_in_the_unit_interval(build, bad):
+    # float(p) used to turn strings and flags into weights, and None into a TypeError
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        build(bad)
+
+
+@pytest.mark.parametrize("build", list(_P_TAKERS.values()), ids=list(_P_TAKERS))
+def test_p_accepts_numpy_floats(build):
+    assert repr(build(np.float32(0.5))) == repr(build(0.5))
+
+
 class TestApplyMemoryDecay:
     def test_identity_at_full_amplitude(self, rng):
         rho = random_density_matrix(rng, 4)
@@ -99,27 +119,16 @@ class TestApplyMemoryDecay:
             rho = random_density_matrix(rng, 4)
             assert np.max(np.abs(apply_memory_decay(rho, -1.0) - flip @ rho @ flip)) <= 1e-12
 
-    def test_excited_one_decays_other_level(self):
-        c = 0.6
-        out = apply_memory_decay(max_entangled_initial(), c, excited=1)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = 0.5
-        expected[2, 2] = 0.5 * (1 - c * c)
-        expected[3, 3] = 0.5 * c * c
-        expected[0, 3] = expected[3, 0] = 0.5 * c
-        assert np.max(np.abs(out - expected)) < 1e-15
-
     def test_amplitude_array_equals_per_amplitude(self, rng):
         rho = random_density_matrix(rng, 4)
         stack = np.array([random_density_matrix(rng, 4) for _ in range(41)])
         cs = np.linspace(-1.0, 1.0, 41)
-        for excited in (0, 1):
-            out = apply_memory_decay(rho, cs, excited=excited)
-            paired = apply_memory_decay(stack, cs, excited=excited)
-            assert out.shape == paired.shape == (41, 4, 4)
-            for i, c in enumerate(cs):
-                assert np.array_equal(out[i], apply_memory_decay(rho, c, excited=excited))
-                assert np.array_equal(paired[i], apply_memory_decay(stack[i], c, excited=excited))
+        out = apply_memory_decay(rho, cs)
+        paired = apply_memory_decay(stack, cs)
+        assert out.shape == paired.shape == (41, 4, 4)
+        for i, c in enumerate(cs):
+            assert np.array_equal(out[i], apply_memory_decay(rho, c))
+            assert np.array_equal(paired[i], apply_memory_decay(stack[i], c))
 
     def test_real_state_stays_real(self, rng):
         # the Kraus pair has real coefficients: real in, float64 out, with the
@@ -143,12 +152,6 @@ class TestApplyMemoryDecay:
         rho = random_density_matrix(rng, 4)
         with pytest.raises(ValueError, match="positivity"):
             apply_memory_decay(rho, 1.01)
-        # floats pass "in (0, 1)" but would index an array
-        for bad in (2, 1.0, np.float64(0.0), "1"):
-            with pytest.raises(ValueError, match="excited"):
-                apply_memory_decay(rho, 0.5, excited=bad)
-        with pytest.raises(ValueError, match="excited"):
-            apply_memory_decay(rho, 0.5, excited=True)
         with pytest.raises(ValueError, match="positivity"):
             apply_memory_decay(rho, np.array([0.5, -1.01]))
         with pytest.raises(ValueError, match="4x4"):

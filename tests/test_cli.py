@@ -120,6 +120,16 @@ def test_help_exits_0(capsys):
     assert "sweep" in capsys.readouterr().out
 
 
+def test_oracle_help_names_the_mode_count_m(monkeypatch, capsys):
+    # N is the qubit count in the report and the errors; the mode count is M
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["oracle", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "[--discrete-modes M]" in out
+    assert "--discrete-modes N" not in out
+    assert "an unresolved M exits 1 and names a larger count" in out
+
+
 TINY_CONFIG = (
     "state = max_entangled\nlambda_over_gamma0 = 1.0\n"
     "n_qubits_list = 1\nt_max_gamma0 = 1\nsteps = 11\n"

@@ -6,7 +6,11 @@ to 1 - 1e-14 and 1 (written by tests/golden/capture_ledger.py);
 bounds_record must reproduce them within MPMATH_ATOL.  The same states
 conjugated by the unitary I x diag(1, e^{2i}) on B have the same ledger,
 but imaginary parts, so they take the complex-arithmetic route; it must
-reproduce the reference within MPMATH_COMPLEX_ATOL.
+reproduce the reference within MPMATH_COMPLEX_ATOL.  So must bounds_record
+on tests/golden/ledger_general_mpmath.csv (written by
+tests/golden/capture_ledger_general.py): 60 complex states of rank 1 to 4,
+some with a smallest nonzero eigenvalue of 1e-8 to 1e-14, under sigma_x and
+sigma_z or a random pair of qubit bases that are not mutually unbiased.
 
 The figure presets' CSVs are pinned byte for byte by the SHA-256 of
 everything from the header line on; the '#' metadata lines above it carry
@@ -17,10 +21,11 @@ for the four figure presets at 51 time points plus fig 4 with the other
 memory level decaying.  The file was written by the per-state (Jacobi)
 engine; any later engine must reproduce every column within GOLDEN_ATOL.
 The rendered 12-digit CSV cannot carry this gate: its last digit flips
-under roundoff-level changes.  The presets run through run_sweep.  A sweep
-always decays memory level 0, so fig4_excited1 is built from the channel:
-decay_amplitude on the grid, apply_memory_decay(..., excited=1), then
-bounds_record.
+under roundoff-level changes.  The presets run through run_sweep.  The
+channel always decays memory level 0, so fig4_excited1 is built by X_B
+conjugation, since decay from level 1 is X_B AD(X_B rho X_B) X_B:
+decay_amplitude on the grid, apply_memory_decay on the flipped state,
+the flip undone, then bounds_record.
 
 Regenerate (only when a change of the values is intended) with
 
@@ -38,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eulb.bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
+from eulb.bounds import BoundsRecord, Observable, bounds_record, complementarity, pauli_x, pauli_z
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from eulb.reservoir import ReservoirParams, decay_amplitude
 from eulb.sweep import figure_preset, run_sweep, write_sweep
@@ -48,9 +53,12 @@ GOLDEN_ATOL = 1e-12
 MPMATH_REFERENCE = Path(__file__).with_name("golden") / "ledger_mpmath.csv"
 MPMATH_ATOL = 1e-14
 # LAPACK's complex solver is off the 40-digit spectra by more than the real
-# one near a vanishing eigenvalue (9.3e-15 on berta at worst)
+# one near a vanishing eigenvalue (9.3e-15 on berta at worst here, 1.6e-14
+# on delta for a rank-1 general state)
 MPMATH_COMPLEX_ATOL = 2e-14
+GENERAL_REFERENCE = Path(__file__).with_name("golden") / "ledger_general_mpmath.csv"
 B_PHASE = np.kron(np.eye(2), np.diag([1.0, np.exp(2j)]))
+FLIP_B = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
 STEPS = 51
 FIELDS = [f.name for f in dataclasses.fields(BoundsRecord)]
 MPMATH_FIELDS = FIELDS[2:]  # the ledger, without t and amplitude
@@ -72,9 +80,10 @@ def case_ledgers(case: str) -> dict[int, BoundsRecord]:
         return run_sweep(config).ledgers
     times = np.linspace(0.0, config.t_max_gamma0, config.steps)
     ledgers = {}
+    flipped = FLIP_B @ bell_diagonal_initial(config.p) @ FLIP_B
     for n in sorted(config.n_qubits_list):
         c = decay_amplitude(ReservoirParams(1.0, config.lambda_over_gamma0, n), times)
-        states = apply_memory_decay(bell_diagonal_initial(config.p), c, excited=excited)
+        states = FLIP_B @ apply_memory_decay(flipped, c) @ FLIP_B
         ledgers[n] = bounds_record(states, pauli_x(), pauli_z(), t=times, amplitude=c)
     return ledgers
 
@@ -165,6 +174,33 @@ def test_complex_ledger_matches_mpmath(case):
     worst = mpmath_deviations(case, B_PHASE)
     bad = {name: dev for name, dev in worst.items() if not dev <= MPMATH_COMPLEX_ATOL}
     assert not bad, f"{case}: complex-route columns off the 40-digit ledger: {bad}"
+
+
+def _floats(text: str) -> np.ndarray:
+    return np.array(text.split(), dtype=float)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_general_ledger_matches_mpmath(rank):
+    with GENERAL_REFERENCE.open(encoding="ascii") as fh:
+        rows = [
+            row
+            for row in csv.DictReader(line for line in fh if not line.startswith("#"))
+            if row["case"].startswith(f"rank{rank}_")
+        ]
+    assert len(rows) == 15
+    worst = dict.fromkeys(MPMATH_FIELDS, 0.0)
+    for row in rows:
+        rho = (_floats(row["rho_re"]) + 1j * _floats(row["rho_im"])).reshape(4, 4)
+        kets = {key: _floats(row[key + "_re"]) + 1j * _floats(row[key + "_im"]) for key in "qr"}
+        q, r = (Observable(key, k.reshape(2, 2)) for key, k in kets.items())
+        assert np.linalg.matrix_rank(rho, tol=1e-15) == rank
+        assert 0.5 - 1e-15 <= complementarity(q, r) < 1.0
+        ledger = bounds_record(rho, q, r)
+        for name in MPMATH_FIELDS:
+            worst[name] = max(worst[name], abs(getattr(ledger, name) - float(row[name])))
+    bad = {name: dev for name, dev in worst.items() if not dev <= MPMATH_COMPLEX_ATOL}
+    assert not bad, f"rank {rank}: columns off the 40-digit general ledger: {bad}"
 
 
 # SHA-256 of each preset CSV from its header line to the end of the file.

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import inspect
+import re
+from pathlib import Path
 
 import eulb
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_export_list_matches_namespace():
@@ -55,3 +59,14 @@ def test_public_api_is_pinned():
         "von_neumann_entropy",
         "write_sweep",
     }
+
+
+def test_readme_python_examples_run(capsys):
+    # the README's python blocks run in order in one namespace, so a
+    # signature change cannot leave them stale
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert "(2001,)" in capsys.readouterr().out

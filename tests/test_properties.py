@@ -89,12 +89,12 @@ def test_inequality_chain_and_holevo_range(rho, pair):
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(c=_unit, excited=st.sampled_from([0, 1]))
-def test_channel_is_cptp(c, excited):
+@given(c=_unit)
+def test_channel_is_cptp(c):
     # the Choi matrix is the channel on B of the unnormalised |00> + |11>: the
     # channel is completely positive iff it is PSD, trace preserving iff its
     # trace over B is I_A
-    choi = apply_memory_decay(2 * max_entangled_initial(), c, excited)
+    choi = apply_memory_decay(2 * max_entangled_initial(), c)
     assert np.min(np.linalg.eigvalsh(choi)) >= -1e-12
     assert np.max(np.abs(partial_trace(choi, "A") - np.eye(2))) <= 1e-12
 
@@ -103,26 +103,19 @@ _FLIP_B = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(rho=states(), c=_unit)
-def test_excited_label_one_is_flip_conjugated_channel(rho, c):
-    # relabeling the decaying memory level is sigma_x on B before and after
-    flipped = _FLIP_B @ apply_memory_decay(_FLIP_B @ rho @ _FLIP_B, c) @ _FLIP_B
-    assert np.max(np.abs(apply_memory_decay(rho, c, excited=1) - flipped)) <= 1e-12
-
-
-@settings(derandomize=True, database=None, deadline=None)
 @given(
     initial=st.just(max_entangled_initial()) | st.floats(0.0, 1.0).map(bell_diagonal_initial),
     c=arrays(float, st.integers(1, 9), elements=_unit),
 )
 def test_sweep_states_blind_to_the_decaying_level(initial, c):
-    # both sweep families are invariant under X x X, so decay from level 1 is
-    # decay from level 0 up to X on A, which only relabels the sigma_x and
-    # sigma_z outcomes, and X on B, which the ledger ignores.  A sweep
-    # therefore offers no choice of the decaying level.
+    # decay from level 1 is X_B AD(X_B rho X_B) X_B.  Both sweep families are
+    # invariant under X x X, so it is decay from level 0 up to X on A, which
+    # only relabels the sigma_x and sigma_z outcomes, and X on B, which the
+    # ledger ignores: the channel need offer no choice of the decaying level.
     x, z = pauli_x(), pauli_z()
     zero = bounds_record(apply_memory_decay(initial, c), x, z)
-    one = bounds_record(apply_memory_decay(initial, c, excited=1), x, z)
+    one_states = _FLIP_B @ apply_memory_decay(_FLIP_B @ initial @ _FLIP_B, c) @ _FLIP_B
+    one = bounds_record(one_states, x, z)
     for f in fields(BoundsRecord):
         assert np.max(np.abs(getattr(one, f.name) - getattr(zero, f.name))) <= 1e-12, f.name
 
@@ -131,14 +124,13 @@ def test_sweep_states_blind_to_the_decaying_level(initial, c):
 @given(
     rho=states() | states(real=True),
     c=arrays(float, st.integers(1, 9), elements=_unit),
-    excited=st.sampled_from([0, 1]),
 )
-def test_ledger_even_in_the_amplitude(rho, c, excited):
-    # c -> -c flips the sign of the excited memory level, a local unitary on
+def test_ledger_even_in_the_amplitude(rho, c):
+    # c -> -c flips the sign of the decaying memory level, a local unitary on
     # B, so the whole ledger is even in c, on the real route and the complex one
     x, z = pauli_x(), pauli_z()
-    plus = _ledger(apply_memory_decay(rho, c, excited), x, z)
-    minus = _ledger(apply_memory_decay(rho, -c, excited), x, z)
+    plus = _ledger(apply_memory_decay(rho, c), x, z)
+    minus = _ledger(apply_memory_decay(rho, -c), x, z)
     for f in fields(BoundsRecord):
         dev = np.max(np.abs(getattr(minus[0], f.name) - getattr(plus[0], f.name)))
         assert dev <= 1e-14, f.name
