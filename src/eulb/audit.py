@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import _ledger, pauli_x, pauli_z
 from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from .linalg import binary_entropy
-from .reservoir import _is_real
+from .reservoir import _is_real, _real_array
 
 CONSISTENCY_TOL = 1e-9
 
@@ -276,7 +276,7 @@ def closed_form_report(
     formula error with preparation mismatch.  Discrepancies are data, not
     errors.
     """
-    c = np.asarray(amplitude_c, dtype=float)
+    c = _real_array(amplitude_c, "amplitude")
     if not np.all(np.isfinite(c)):
         raise ValueError("amplitude must be finite")
     if np.any(np.abs(c) > 1.0):

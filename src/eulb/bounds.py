@@ -8,8 +8,10 @@ qubit B kept as the memory, the quantities of interest are
     Adabi bound   = Berta + max(0, delta),
     delta         = I(A;B) - I(Q;B) - I(R;B)       (Holevo information gap)
 
-Everything here is computed from eigendecomposition-based definitions;
-the tabulated closed forms that audit.py checks are never used.
+Everything here is computed from the definitions through spectra: the
+4x4 spectrum of rho from LAPACK, the 2x2 spectra of its marginals and
+measurement branches in closed form (linalg._eigvalsh_2x2).  The
+tabulated closed forms that audit.py checks are never used.
 
 The ledger functions take one 4x4 state or a (..., 4, 4) stack, such as
 one state per time point, through the same code; for a stack their
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _inexact, entropy_from_eigenvalues, von_neumann_entropy
+from .linalg import _eigvalsh_2x2, _inexact, entropy_from_eigenvalues, von_neumann_entropy
+from .reservoir import _real_array
 
 ZERO_PROBABILITY_TOL = 1e-12
 _IDENTITY = np.eye(2)
@@ -64,8 +67,8 @@ def complementarity(q: Observable, r: Observable) -> float:
 def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of rho_A, rho_B and the unnormalised memory branches <k|rho|k>
     for the four kets k, shape (..., 6, 2), and the outcome probabilities
-    Tr <k|rho|k>, shape (..., 4), from one contraction and one 2x2 solve.
-    rho and kets share one dtype."""
+    Tr <k|rho|k>, shape (..., 4), from one contraction and one closed-form
+    2x2 solve over all six blocks.  rho and kets share one dtype."""
     stack = rho.shape[:-2]
     # rho viewed as [..., (a, c), (b, d)], so that one weight row over (a, c)
     # contracts qubit A away: the identity gives rho_B, and conj(k_a) k_c
@@ -77,7 +80,8 @@ def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.
     reduced = np.empty(stack + (6, 4), dtype=rho.dtype)  # rho_A, rho_B, then the branches
     np.einsum("jm,...mx->...jx", weights.reshape(5, 4), blocks, out=reduced[..., 1:, :])
     reduced[..., 0, :] = blocks[..., :, 0] + blocks[..., :, 3]  # rho_A: the b = d = 0, 1 slices
-    evals = np.linalg.eigvalsh(reduced.reshape(stack + (6, 2, 2)))
+    del blocks  # a copy of rho: freed before the solve's temporaries set the peak
+    evals = _eigvalsh_2x2(reduced.reshape(stack + (6, 2, 2)))
     return evals, reduced.real[..., 2:, 0] + reduced.real[..., 2:, 3]
 
 
@@ -119,7 +123,8 @@ def bounds_record(
 ) -> BoundsRecord:
     """Compute every BoundsRecord field, sharing the spectral decompositions.
 
-    rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude broadcast
+    rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude are real
+    numbers or arrays (a bool or a string raises ValueError) and broadcast
     against the stack axes.  The dtypes alone set the arithmetic: complex
     when rho or a ket of q or r has a complex dtype, else real, whatever
     the values.  So every member of a stack runs as its own call would in
@@ -134,6 +139,10 @@ def _ledger(
 ) -> tuple[BoundsRecord, np.ndarray]:
     """bounds_record's record, and the post-measurement entropies S(rho_QB)
     and S(rho_RB) over the stack axes, shape (..., 2)."""
+    # checked, not kept: float() of a Python float returns the object itself,
+    # so a single record of default t and amplitude allocates no new float
+    for name, value in (("t", t), ("amplitude", amplitude)):
+        _real_array(value, name)
     rho = _inexact(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"bounds_record expects a 4x4 state or a stack of them, got {rho.shape}")

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .linalg import _inexact
-from .reservoir import _is_real
+from .reservoir import _is_real, _real_array
 
 _AMPLITUDE_SLACK = 1e-9  # |c| may exceed 1 by roundoff from the dynamics
 
@@ -40,7 +40,7 @@ def apply_memory_decay(rho: np.ndarray, c) -> np.ndarray:
     rho = _inexact(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    c = np.asarray(c, dtype=float)
+    c = _real_array(c, "channel amplitude")
     if not np.all(np.isfinite(c)):
         raise ValueError("channel amplitude must be finite")
     if np.any(np.abs(c) > 1.0 + _AMPLITUDE_SLACK):

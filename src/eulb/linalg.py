@@ -10,8 +10,9 @@ Every matrix function accepts one matrix or a stack of shape (..., n, n),
 such as one state per time point, and works on the whole stack through
 the same code: checks run once over the stack, and results gain the
 leading stack axes.  The Hermiticity check and the spectra keep a real
-input real (LAPACK's real symmetric solver) and solve a complex one in
-complex arithmetic.
+input real and solve a complex one in complex arithmetic.  2x2 spectra
+come in closed form from elementwise ufuncs; 4x4 spectra come from
+LAPACK (numpy's eigvalsh, its real symmetric solver for a real input).
 """
 
 from __future__ import annotations
@@ -38,8 +39,35 @@ def hermiticity_defect(m: np.ndarray) -> float:
         return float(np.abs(m - m.swapaxes(-1, -2).conj()).max())
 
 
+def _eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
+    """Ascending float64 eigenvalues of a (..., 2, 2) Hermitian stack, real or complex.
+
+    (a + d)/2 -+ hypot((a - d)/2, |m[..., 1, 0]|) from elementwise ufuncs
+    only, so a stack member gets the bits its own call gets.  It makes no
+    check of its own and reads the lower triangle, as LAPACK's 'L' does.  The error is a few
+    ulps of max |entry|; hypot keeps tiny and huge entries from underflow
+    and overflow.
+    """
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    # written into the result in place: two temporaries, not six, because
+    # the ledger's stacked spectra are taken at the sweep's memory peak
+    evals = np.empty(m.shape[:-2] + (2,))
+    low, high = evals[..., 0], evals[..., 1]  # views, 0-d arrays for one matrix
+    np.add(a, d, out=high)
+    high *= 0.5
+    np.subtract(a, d, out=low)
+    low *= 0.5
+    radius = np.hypot(low, np.abs(m[..., 1, 0]))
+    np.subtract(high, radius, out=low)
+    high += radius
+    return evals
+
+
 def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 2x2 or 4x4 Hermitian matrix, sorted descending (LAPACK eigvalsh)."""
+    """Eigenvalues of a 2x2 or 4x4 Hermitian matrix, sorted descending.
+
+    2x2 in closed form (_eigvalsh_2x2), 4x4 by LAPACK (np.linalg.eigvalsh).
+    """
     m = _inexact(m)
     if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
@@ -47,7 +75,8 @@ def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
     # a NaN or inf entry makes the defect NaN or inf, so this also rejects it
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian or has non-finite entries (defect {defect:.3e})")
-    return np.linalg.eigvalsh(m)[..., ::-1]
+    solve = _eigvalsh_2x2 if m.shape[-1] == 2 else np.linalg.eigvalsh
+    return solve(m)[..., ::-1]
 
 
 def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:

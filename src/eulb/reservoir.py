@@ -71,6 +71,19 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _real_array(value, name: str) -> np.ndarray:
+    """value as a float64 array, for a real number or an array of them.
+
+    np.asarray(value, dtype=float) would parse a string and read a bool as 0
+    or 1, so any input whose dtype is not integer or float (bool, str, bytes,
+    object, complex) raises ValueError naming the argument.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number or an array of them, got {arr.dtype.name}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ReservoirParams:
     """Lorentzian bath parameters and the number of qubits sharing it.
@@ -142,7 +155,7 @@ def decay_amplitude(params: ReservoirParams, t):
     exponent has a positive real part.  C(0) = 1 exactly.  t must be finite
     and >= 0.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _real_array(t, "t")
     if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
         raise ValueError("decay_amplitude requires finite t >= 0")
     n = params.n_qubits

@@ -18,6 +18,7 @@ from eulb.audit import closed_form_report
 from eulb.bounds import (
     BoundsRecord,
     Observable,
+    _reduced_spectra,
     bounds_record,
     complementarity,
     pauli_x,
@@ -122,6 +123,16 @@ class TestHolevo:
         # carries no information at all
         rho = np.kron(np.diag([0.0, 1.0]), np.eye(2) / 2)
         assert abs(bounds_record(rho, pauli_x(), pauli_z()).holevo_r) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_probability_branch_is_exactly_zero(self, dtype):
+        # a pure product state measured in its own basis: the sigma_z
+        # outcome-0 branch is the zero block, so its spectrum and p are exact
+        ket_b = np.array([0.6, 0.8])
+        rho = np.kron(np.diag([0.0, 1.0]), np.outer(ket_b, ket_b)).astype(dtype)
+        kets = np.concatenate([pauli_x().kets, pauli_z().kets]).astype(dtype)
+        evals, p = _reduced_spectra(rho, kets)
+        assert np.array_equal(evals[4], [0.0, 0.0]) and p[2] == 0.0
 
     def test_range_on_random_states(self, rng):
         states = np.array([random_density_matrix(rng, 4) for _ in range(200)])
@@ -238,6 +249,14 @@ class TestBoundsRecord:
         stack[2, 1, 3] = stack[2, 3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             bounds_record(stack, pauli_x(), pauli_z())
+
+    @pytest.mark.parametrize(("name", "bad"), [("t", "2"), ("t", False), ("amplitude", True), ("amplitude", "1")])
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+    def test_rejects_non_real_time_and_amplitude(self, name, bad, shape):
+        # t="2" used to be recorded as 2.0, and amplitude=True as 1.0
+        rho = np.broadcast_to(np.eye(4) / 4, shape)
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            bounds_record(rho, pauli_x(), pauli_z(), **{name: bad})
 
 
 def _preset_stack(fig: int, n: int) -> np.ndarray:
@@ -383,6 +402,11 @@ class TestClosedForms:
     def test_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
             closed_form_report(1.5)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, np.array(["0.5"])])
+    def test_rejects_non_real_amplitude(self, bad):
+        with pytest.raises(ValueError, match="amplitude must be a real number"):
+            closed_form_report(bad)
 
     def test_array_report_equals_scalar_reports(self):
         amplitudes = np.array([-1.0, -0.6, -0.25, 0.0, 1e-9, 0.3, 0.5, 0.77, 0.99, 1.0])

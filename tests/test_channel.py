@@ -163,6 +163,12 @@ class TestApplyMemoryDecay:
         with pytest.raises(ValueError, match="finite"):
             apply_memory_decay(random_density_matrix(rng, 4), bad)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, np.array([0.5, 1.0], dtype=object), 0.5j])
+    def test_rejects_non_real_amplitude(self, rng, bad):
+        # np.asarray(x, dtype=float) parsed "0.5" and read True as c = 1
+        with pytest.raises(ValueError, match="channel amplitude must be a real number"):
+            apply_memory_decay(random_density_matrix(rng, 4), bad)
+
 
 class TestEvolvedConstructors:
     def test_evolved_max_entangled_values(self):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import partial_trace, random_density_matrix, random_unitary
 from eulb.linalg import (
+    _eigvalsh_2x2,
     binary_entropy,
     eigenvalues_hermitian,
     entropy_from_eigenvalues,
@@ -134,9 +135,40 @@ class TestEigenvalues:
             return eigvalsh(m)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        assert np.array_equal(eigenvalues_hermitian(np.array([[2, 1], [1, 2]])), [3.0, 1.0])
-        assert np.array_equal(eigenvalues_hermitian(PAULI_X), [1.0, -1.0])
+        assert np.array_equal(eigenvalues_hermitian(np.diag([1, 3, 2, 4])), [4.0, 3.0, 2.0, 1.0])
+        assert np.array_equal(eigenvalues_hermitian(np.kron(PAULI_X, PAULI_X)), [1.0, 1.0, -1.0, -1.0])
         assert seen == [np.dtype(float), np.dtype(complex)]
+        # 2x2 spectra are closed form: they never reach LAPACK, and come out
+        # float64 from a real and from a complex input alike
+        for m, want in ((np.array([[2, 1], [1, 2]]), [3.0, 1.0]), (PAULI_X, [1.0, -1.0])):
+            evals = eigenvalues_hermitian(m)
+            assert evals.dtype == np.dtype(float) and np.array_equal(evals, want)
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e150])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_closed_form_2x2_against_lapack(self, rng, dtype, scale):
+        def draw(*shape):
+            g = rng.normal(size=shape)
+            return g + 1j * rng.normal(size=shape) if dtype is complex else g
+
+        def hermitian(g):
+            return (g + g.conj().swapaxes(-1, -2)) / 2
+
+        n = 200
+        v = draw(n, 2)
+        kinds = [
+            hermitian(draw(n, 2, 2)),  # random
+            v[:, :, None] * v.conj()[:, None, :],  # rank 1
+            rng.normal(size=(n, 1, 1)) * np.eye(2) + 1e-17 * hermitian(draw(n, 2, 2)),  # degenerate
+            rng.normal(size=(n, 2, 1)) * np.eye(2),  # diagonal
+            np.zeros((n, 2, 2), dtype=dtype),
+        ]
+        stack = scale * np.concatenate(kinds)
+        mine = _eigvalsh_2x2(stack)
+        assert mine.dtype == np.dtype(float) and np.all(np.isfinite(mine))
+        bound = 16 * np.finfo(float).eps * np.abs(stack).max(axis=(-2, -1))
+        assert np.all(np.abs(mine - np.linalg.eigvalsh(stack)) <= bound[:, None])
 
     def test_hermiticity_defect_of_real_and_complex_input(self):
         assert hermiticity_defect(np.array([[1, 2], [3, 4]])) == 1.0

@@ -197,6 +197,12 @@ class TestDecayAmplitude:
         with pytest.raises(ValueError, match="finite t >= 0"):
             decay_amplitude(ReservoirParams(1.0, lam, 2), bad)
 
+    @pytest.mark.parametrize("bad", ["3", b"3", True, [0.0, None]])
+    def test_non_real_time_rejected(self, bad):
+        # np.asarray(t, dtype=float) parsed "3" into C(3) and read True as t = 1
+        with pytest.raises(ValueError, match="t must be a real number"):
+            decay_amplitude(ReservoirParams(1.0, 1.0, 1), bad)
+
 
 class TestKernelOdeOracle:
     def test_matches_closed_form(self):
