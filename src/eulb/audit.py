@@ -27,8 +27,7 @@ import numpy as np
 
 from .bounds import _ledger, pauli_x, pauli_z
 from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
-from .linalg import binary_entropy
-from .reservoir import _is_real, _real_array
+from .linalg import _is_real, _real_array, binary_entropy
 
 CONSISTENCY_TOL = 1e-9
 
@@ -57,7 +56,7 @@ def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:
     if not (_is_real(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p!r}")
     p = float(p)
-    c = np.asarray(c, dtype=float)
+    c = _real_array(c, "c")
     if not np.all(np.abs(c) <= 1.0):  # written so that NaN fails too
         raise ValueError(f"amplitude {c} out of range [-1, 1]")
     c2 = c * c

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigvalsh_2x2, _inexact, entropy_from_eigenvalues, von_neumann_entropy
-from .reservoir import _real_array
+from .linalg import _eigvalsh_2x2, _inexact, _real_array, entropy_from_eigenvalues, von_neumann_entropy
 
 ZERO_PROBABILITY_TOL = 1e-12
 _IDENTITY = np.eye(2)
@@ -40,11 +39,12 @@ class Observable:
     kets: np.ndarray
 
     def __post_init__(self) -> None:
-        kets = _inexact(self.kets)
+        kets = _inexact(self.kets, "kets")
         if kets.shape != (2, 2):
             raise ValueError(f"kets must be a 2x2 array of row vectors, got {kets.shape}")
-        gram = kets.conj() @ kets.T
-        if np.max(np.abs(gram - np.eye(2))) > 1e-12:
+        with np.errstate(invalid="ignore"):  # an inf ket gives a NaN gram, rejected below
+            gram = kets.conj() @ kets.T
+        if not np.max(np.abs(gram - np.eye(2))) <= 1e-12:  # NaN fails too
             raise ValueError(f"eigenbasis of {self.name!r} is not orthonormal")
         self.kets = kets
 
@@ -139,11 +139,8 @@ def _ledger(
 ) -> tuple[BoundsRecord, np.ndarray]:
     """bounds_record's record, and the post-measurement entropies S(rho_QB)
     and S(rho_RB) over the stack axes, shape (..., 2)."""
-    # checked, not kept: float() of a Python float returns the object itself,
-    # so a single record of default t and amplitude allocates no new float
-    for name, value in (("t", t), ("amplitude", amplitude)):
-        _real_array(value, name)
-    rho = _inexact(rho)
+    stamps = [_real_array(value, name) for name, value in (("t", t), ("amplitude", amplitude))]
+    rho = _inexact(rho, "rho")
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"bounds_record expects a 4x4 state or a stack of them, got {rho.shape}")
     kets = np.concatenate([q.kets, r.kets])  # the kets of q, then of r
@@ -170,11 +167,13 @@ def _ledger(
     adabi = berta + np.maximum(0.0, delta)
     values = (u_left, berta, adabi, delta, hol[..., 0], hol[..., 1], mi, ce)
     if rho.ndim == 2:
+        # float() of a Python float returns the object itself, so a single
+        # record of default t and amplitude allocates no new float
         return BoundsRecord(*map(float, (t, amplitude) + values)), post
     # The eight computed fields already have the stack shape; only t and
     # amplitude are broadcast to it.  broadcast_arrays of all ten values
     # allocates ~27.5 kB per call, and broadcast_to costs ~3.3 us a field
     # (numpy 2.4).
     shape = u_left.shape
-    t, amplitude = (np.broadcast_to(np.asarray(v, dtype=float), shape) for v in (t, amplitude))
+    t, amplitude = (np.broadcast_to(v, shape) for v in stamps)
     return BoundsRecord(t, amplitude, *values), post

@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import _inexact
-from .reservoir import _is_real, _real_array
+from .linalg import _inexact, _is_real, _real_array
 
 _AMPLITUDE_SLACK = 1e-9  # |c| may exceed 1 by roundoff from the dynamics
 
@@ -37,7 +36,7 @@ def apply_memory_decay(rho: np.ndarray, c) -> np.ndarray:
     has real coefficients, so a real state comes out float64 and a complex
     one complex128.
     """
-    rho = _inexact(rho)
+    rho = _inexact(rho, "rho")
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
     c = _real_array(c, "channel amplitude")

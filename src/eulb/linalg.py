@@ -13,6 +13,9 @@ leading stack axes.  The Hermiticity check and the spectra keep a real
 input real and solve a complex one in complex arithmetic.  2x2 spectra
 come in closed form from elementwise ufuncs; 4x4 spectra come from
 LAPACK (numpy's eigvalsh, its real symmetric solver for a real input).
+
+This base module also owns the package's one rule for numeric input
+(_inexact): integer, float or complex dtypes, never bools or strings.
 """
 
 from __future__ import annotations
@@ -23,10 +26,41 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
-def _inexact(m) -> np.ndarray:
-    """m as a float64 array, or complex128 when its dtype is complex."""
-    m = np.asarray(m)
-    return np.asarray(m, dtype=complex if m.dtype.kind == "c" else float)
+def _is_int(value) -> bool:
+    # floats such as 2.0 pass == checks but break array sizes, np.linspace and
+    # the CSV; bool subclasses int but is no count or label (np.bool_ is no
+    # np.integer)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # a Python or numpy real number; bool and np.bool_ are flags, and strings
+    # or None must fail as input errors before any arithmetic sees them
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _inexact(value, name: str, real: bool = False) -> np.ndarray:
+    """value as float64, or as complex128 when its dtype is complex and real is False.
+
+    The package's one rule for numeric input.  np.asarray(value, dtype=float)
+    parses a string and reads a bool as 0 or 1, so a dtype other than
+    integer, float or (unless real) complex raises ValueError naming the
+    argument, and so does a bool inside a list or tuple, which numpy promotes.
+    """
+    arr = np.asarray(value)
+    kind, what = arr.dtype.kind, ("a real number" if real else "a real or complex number")
+    if kind not in ("iuf" if real else "iufc"):
+        raise ValueError(f"{name} must be {what} or an array of them, got {arr.dtype.name}")
+    if isinstance(value, (list, tuple)):  # arrays and scalars skip this search
+        for item in np.asarray(value, dtype=object).flat:
+            # a Python bool, an np.bool_ or a 0-d bool array
+            if isinstance(item, bool) or getattr(item, "dtype", None) == bool:
+                raise ValueError(f"{name} must be {what} or an array of them, got {item!r} in a list")
+    return arr.astype(complex if kind == "c" else float, copy=False)
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    return _inexact(value, name, real=True)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -34,7 +68,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
     A NaN or inf entry gives NaN or inf, without a RuntimeWarning.
     """
-    m = _inexact(m)
+    m = _inexact(m, "m")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which callers reject
         return float(np.abs(m - m.swapaxes(-1, -2).conj()).max())
 
@@ -68,7 +102,7 @@ def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
 
     2x2 in closed form (_eigvalsh_2x2), 4x4 by LAPACK (np.linalg.eigvalsh).
     """
-    m = _inexact(m)
+    m = _inexact(m, "m")
     if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
@@ -86,7 +120,7 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
     normalised: for a branch of probability p, p S(sigma/p) equals this
     entropy of sigma's spectrum plus p log2 p.
     """
-    evals = np.asarray(evals, dtype=float)
+    evals = _real_array(evals, "evals")
     # one reduction; fmin skips NaN, and the initial value covers an empty stack
     smallest = np.fmin.reduce(evals, axis=None, initial=np.inf)
     if smallest < EIGENVALUE_FLOOR:
@@ -100,12 +134,12 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits of a 2x2 or 4x4 density matrix, or of each member of a stack."""
-    return entropy_from_eigenvalues(eigenvalues_hermitian(rho))
+    return entropy_from_eigenvalues(eigenvalues_hermitian(_inexact(rho, "rho")))
 
 
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """Binary entropy -x log2 x - (1-x) log2 (1-x) in bits, for x in [0, 1], elementwise."""
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "x")
     if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails both comparisons
         raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
     x = np.clip(x, 0.0, 1.0)

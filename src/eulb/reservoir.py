@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _is_int, _is_real, _real_array
+
 # Kernel-ODE propagator: a truncated Taylor series of exp(A h) per step of
 # h <= _TAYLOR_THETA / ||A|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
 # (2011)).  At ||A|| h <= 2 no term exceeds 2 in norm, so summing the series
@@ -56,32 +58,6 @@ _MAX_MODES = 1_000_000
 # outside it carry 1 - 2 atan(20) / pi = 3.2% of J's weight; the deviation
 # this leaves (~2e-4 to 4e-4 on the fig 2 preset) is well inside the tolerance.
 _WINDOW_OVER_LAMBDA = 20.0
-
-
-def _is_int(value) -> bool:
-    # floats such as 2.0 pass == checks but break array sizes, np.linspace and
-    # the CSV; bool subclasses int but is no count or label (np.bool_ is no
-    # np.integer)
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # a Python or numpy real number; bool and np.bool_ are flags, and strings
-    # or None must fail as input errors before any arithmetic sees them
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _real_array(value, name: str) -> np.ndarray:
-    """value as a float64 array, for a real number or an array of them.
-
-    np.asarray(value, dtype=float) would parse a string and read a bool as 0
-    or 1, so any input whose dtype is not integer or float (bool, str, bytes,
-    object, complex) raises ValueError naming the argument.
-    """
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a real number or an array of them, got {arr.dtype.name}")
-    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -172,7 +148,7 @@ def decay_amplitude(params: ReservoirParams, t):
 
 
 def _validate_grid(t_grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
+    grid = _real_array(t_grid, "t_grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(grid)):
@@ -201,18 +177,6 @@ def _compose(a, b):
     )
 
 
-def _power_increment(q, m: int):
-    """(I + q)^m - I for m >= 1, by repeated squaring in increment form."""
-    result = (0.0, 0.0, 0.0, 0.0)
-    while True:
-        if m & 1:
-            result = _compose(q, result)
-        m >>= 1
-        if not m:
-            return result
-        q = _compose(q, q)
-
-
 def kernel_ode_oracle(params: ReservoirParams, t_grid) -> AmplitudeTrajectory:
     """Integrate the memory-kernel dynamics reduced to an exact local ODE pair.
 
@@ -224,17 +188,18 @@ def kernel_ode_oracle(params: ReservoirParams, t_grid) -> AmplitudeTrajectory:
 
     where s is the sum of the qubit amplitudes.  Amplitude differences are
     conserved, so the initially excited qubit has C(t) = (N - 1 + s(t)) / N.
-    Each grid interval (the first from t = 0) is cut into equal steps
-    h <= 2 / ||A||, with the infinity norm ||A|| = max(N, gamma0 lambda / 2
-    + lambda).  One Taylor series over the (J, 2, 2) stack of the J distinct
-    interval lengths gives every Q = exp(A h) - I at once, each raised to
-    its interval's step count by repeated squaring.  An inclusive
+    Each grid interval (the first from t = 0) is cut into 2^d equal steps,
+    the fewest with h <= 2 / ||A|| for the infinity norm ||A|| = max(N,
+    gamma0 lambda / 2 + lambda); dividing by 2^d is exact.  One Taylor
+    series over the (J, 2, 2) stack of the J distinct interval lengths gives
+    every Q = exp(A h) - I at once, and each is squared d times, all
+    intervals at once over (4, J) rows.  An inclusive
     Hillis-Steele scan then composes the K intervals' propagators in
     ceil(log2 K) rounds over (4, K) rows, in memory O(K).  Every product is
     taken in increment form, (I + a)(I + b) - I = a + b + ab, so I + Q,
     which would round away the digits of Q below 1e-16, is never formed.
     The scan's (s, s) entry q_ss gives C = (N + q_ss) / N.  A step count
-    past the float range, or a C that repeated squaring overflowed
+    past the float range, or a C that the squaring overflowed
     (||A|| t far beyond 1/eps), raises ValueError.
     """
     grid = _validate_grid(t_grid)
@@ -247,9 +212,11 @@ def kernel_ode_oracle(params: ReservoirParams, t_grid) -> AmplitudeTrajectory:
     spans, interval = np.unique(np.diff(grid, prepend=0.0), return_inverse=True)
     if not math.isfinite(float(spans[-1]) / h_max):  # np.unique sorts ascending
         raise ValueError(f"grid span {spans[-1]:g} needs over 1e308 steps of h <= {h_max!r}")
-    substeps = np.maximum(1.0, np.ceil(spans / h_max))
+    # 2^d steps per span, d = ceil(log2 max(span / h_max, 1)) exactly; d ascends
+    mantissa, exponent = np.frexp(np.maximum(spans / h_max, 1.0))
+    doublings = exponent - (mantissa == 0.5)
     # each span's terms are summed until ||term||^2 <= (1e-16)^2 ||I||^2, then scaled by 0
-    step = spans / substeps
+    step = np.ldexp(spans, -doublings)
     term = np.broadcast_to(np.eye(2), (spans.size, 2, 2))
     q = np.zeros((spans.size, 2, 2))
     for order in range(1, _TAYLOR_MAX_TERMS + 1):
@@ -260,9 +227,11 @@ def kernel_ode_oracle(params: ReservoirParams, t_grid) -> AmplitudeTrajectory:
             break
     else:
         raise RuntimeError(f"Taylor series of exp(Ah) did not converge in {_TAYLOR_MAX_TERMS} terms")
-    increments = np.empty((4, spans.size))
-    for j, m in enumerate(substeps.tolist()):
-        increments[:, j] = _power_increment(q[j].ravel().tolist(), int(m))
+    increments = q.reshape(spans.size, 4).T  # rows (ss, sz, zs, zz), a view of q
+    with np.errstate(over="ignore", invalid="ignore"):  # see the finiteness check
+        for d in range(int(doublings[-1])):
+            live = np.searchsorted(doublings, d, side="right")  # spans still to square
+            increments[:, live:] = _compose(increments[:, live:], increments[:, live:])
     scan = increments[:, interval]
     shift = 1
     while shift < grid.size:

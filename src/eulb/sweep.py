@@ -23,10 +23,9 @@ import numpy as np
 
 from .bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
 from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
+from .linalg import _is_int, _is_real
 from .reservoir import (
     ReservoirParams,
-    _is_int,
-    _is_real,
     build_mode_grid,
     decay_amplitude,
     discrete_mode_oracle,

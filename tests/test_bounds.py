@@ -58,6 +58,15 @@ class TestObservables:
         with pytest.raises(ValueError, match="orthonormal"):
             Observable("bad", np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_kets(self, bad):
+        # NaN fails every comparison: a NaN Gram defect once passed the check,
+        # and bounds_record then gave u_left = -0.5 and NaN bounds
+        with pytest.raises(ValueError, match="orthonormal"):
+            Observable("bad", np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="orthonormal"):
+            Observable("bad", np.array([[1.0, 0.0], [0.0, 1j * bad]]))
+
 
 class TestComplementarity:
     def test_mutually_unbiased(self):
