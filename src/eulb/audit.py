@@ -287,26 +287,25 @@ def closed_form_report(
 
 
 @dataclass
-class FormulaAudit:
-    name: str
+class Deviation:
+    """One checked quantity: its largest |deviation| against a reference, the
+    tolerance that decides it, and where it peaks (the grid amplitude c of
+    an audit row, the grid time of an oracle row)."""
+
+    label: str
     max_deviation: float
-    worst_c: float
+    tolerance: float
+    at: float
 
     @property
-    def consistent(self) -> bool:
-        return self.max_deviation <= CONSISTENCY_TOL
-
-    @property
-    def status(self) -> str:
-        return "CONSISTENT" if self.consistent else "FLAGGED"
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
 
 
 @dataclass
-class MatrixAudit:
+class MatrixAudit(Deviation):
     """Entrywise gap between the tabulated evolved Bell-diagonal matrix and the channel."""
 
-    max_deviation: float
-    worst_c: float
     worst_entry: tuple[int, int]
     deviation_at_full_amplitude: float  # at c = 1, where both should equal the initial state
 
@@ -315,30 +314,25 @@ class MatrixAudit:
 class DiscrepancyReport:
     p: float
     amplitude_grid: np.ndarray
-    formulas: list[FormulaAudit]
+    formulas: list[Deviation]
     evolved_matrix: MatrixAudit
 
-    def audit(self, name: str) -> FormulaAudit:
+    def audit(self, label: str) -> Deviation:
         for row in self.formulas:
-            if row.name == name:
+            if row.label == label:
                 return row
-        raise KeyError(name)
+        raise KeyError(label)
 
     def render(self) -> str:
         lines = [
             f"closed-form audit (p = {self.p:g}, {self.amplitude_grid.size}-point amplitude grid)",
             f"  {'formula':20s} {'max |dev|':>12s} {'at c':>6s}  status",
         ]
-        for row in self.formulas:
-            lines.append(
-                f"  {row.name:20s} {row.max_deviation:12.3e} {row.worst_c:6.2f}  {row.status}"
-            )
+        for row in [*self.formulas, self.evolved_matrix]:
+            status = "CONSISTENT" if row.passed else "FLAGGED"
+            lines.append(f"  {row.label:20s} {row.max_deviation:12.3e} {row.at:6.2f}  {status}")
         m = self.evolved_matrix
-        status = "CONSISTENT" if m.max_deviation <= CONSISTENCY_TOL else "FLAGGED"
-        lines.append(
-            f"  {'bell_evolved_matrix':20s} {m.max_deviation:12.3e} {m.worst_c:6.2f}  {status}"
-            f"  (entry {m.worst_entry}, dev at c=1: {m.deviation_at_full_amplitude:.3e})"
-        )
+        lines[-1] += f"  (entry {m.worst_entry}, dev at c=1: {m.deviation_at_full_amplitude:.3e})"
         return "\n".join(lines)
 
 
@@ -347,44 +341,41 @@ def discrepancy_report(p: float = 0.5) -> DiscrepancyReport:
 
     The amplitude grid is fixed at 101 points, c = 0, 0.01, ..., 1.  Also
     compares the tabulated evolved Bell-diagonal matrix entrywise against
-    channel evolution of the same initial state.  Formulas whose maximal
-    deviation exceeds 1e-9 are marked FLAGGED; discrepancies are reported,
-    never raised.  The closed forms are evaluated once over the whole grid;
-    the definition route and the matrix gap run in amplitude stacks of
-    _AUDIT_BLOCK points.
+    channel evolution of the same initial state.  Every row is a Deviation
+    at the tolerance CONSISTENCY_TOL (1e-9), located at its worst c; a
+    failing row is FLAGGED.  Discrepancies are reported, never raised.  The
+    closed forms are evaluated once over the whole grid; the definition
+    route and the matrix gap run in amplitude stacks of _AUDIT_BLOCK points.
     """
     if not (_is_real(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p!r}")
     p = float(p)
     grid = np.linspace(0.0, 1.0, 101)
-    deviation = _closed_forms(grid)  # turned into |closed form - definition| block by block
-    matrix_worst = (0.0, 0.0, (0, 0))
-    # argmax takes the first maximum, and only a strictly greater matrix gap
-    # replaces an earlier block's, so every worst c is the first one on the
-    # grid, as a point-by-point scan would report it.
+    # One row per closed form, turned into |closed form - definition| block
+    # by block, then the matrix row: the largest entrywise gap at each c.
+    deviation = np.concatenate([_closed_forms(grid), np.empty((1, grid.size))])
+    entry = np.empty(grid.size, dtype=int)  # the flat 4x4 index of that gap
     for start in range(0, grid.size, _AUDIT_BLOCK):
         rows = slice(start, start + _AUDIT_BLOCK)
-        block = grid[rows]
-        evolved = _evolved(block, p)
-        deviation[:, rows] = np.abs(deviation[:, rows] - _definitions(evolved))
-        gap = np.abs(evolved_bell_diagonal_closed_form(p, block) - evolved[1])
-        k, a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        if gap[k, a, b] > matrix_worst[0]:
-            matrix_worst = (float(gap[k, a, b]), float(block[k]), (int(a), int(b)))
-    at_full = apply_memory_decay(bell_diagonal_initial(p), 1.0)
-    gap_full = np.abs(evolved_bell_diagonal_closed_form(p, 1.0) - at_full)
+        evolved = _evolved(grid[rows], p)
+        deviation[:-1, rows] = np.abs(deviation[:-1, rows] - _definitions(evolved))
+        gap = np.abs(evolved_bell_diagonal_closed_form(p, grid[rows]) - evolved[1])
+        entry[rows] = np.argmax(gap.reshape(-1, 16), axis=1)
+        deviation[-1, rows] = np.max(gap, axis=(1, 2))
+    # argmax takes the first maximum, so every worst c is the first on the
+    # grid, as a point-by-point scan would report it
     worst = np.argmax(deviation, axis=1)
-    return DiscrepancyReport(
-        p=p,
-        amplitude_grid=grid,
-        formulas=[
-            FormulaAudit(name=name, max_deviation=float(dev[i]), worst_c=float(grid[i]))
-            for name, dev, i in zip(_CLOSED_FORMS, deviation, worst)
-        ],
-        evolved_matrix=MatrixAudit(
-            max_deviation=matrix_worst[0],
-            worst_c=matrix_worst[1],
-            worst_entry=matrix_worst[2],
-            deviation_at_full_amplitude=float(np.max(gap_full)),
-        ),
+    formulas = [
+        Deviation(label, float(dev[i]), CONSISTENCY_TOL, float(grid[i]))
+        for label, dev, i in zip(_CLOSED_FORMS, deviation[:-1], worst)
+    ]
+    i = worst[-1]
+    matrix = MatrixAudit(
+        "bell_evolved_matrix",
+        float(deviation[-1, i]),
+        CONSISTENCY_TOL,
+        float(grid[i]),
+        worst_entry=divmod(int(entry[i]), 4),  # (row, column)
+        deviation_at_full_amplitude=float(deviation[-1, -1]),  # the grid ends at c = 1
     )
+    return DiscrepancyReport(p=p, amplitude_grid=grid, formulas=formulas, evolved_matrix=matrix)

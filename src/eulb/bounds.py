@@ -167,6 +167,9 @@ def _ledger(
     adabi = berta + np.maximum(0.0, delta)
     values = (u_left, berta, adabi, delta, hol[..., 0], hol[..., 1], mi, ce)
     if rho.ndim == 2:
+        for name, stamp in zip(("t", "amplitude"), stamps):
+            if stamp.ndim:
+                raise ValueError(f"{name} must be a scalar for one state, got shape {stamp.shape}")
         # float() of a Python float returns the object itself, so a single
         # record of default t and amplitude allocates no new float
         return BoundsRecord(*map(float, (t, amplitude) + values)), post

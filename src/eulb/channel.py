@@ -63,16 +63,6 @@ def max_entangled_initial() -> np.ndarray:
     return rho
 
 
-def _bell_kets() -> dict[str, np.ndarray]:
-    s = 1.0 / math.sqrt(2.0)
-    return {
-        "phi+": np.array([s, 0, 0, s]),
-        "phi-": np.array([s, 0, 0, -s]),
-        "psi+": np.array([0, s, s, 0]),
-        "psi-": np.array([0, s, -s, 0]),
-    }
-
-
 def bell_diagonal_initial(p: float) -> np.ndarray:
     """Bell mixture p |psi-><psi-| + (1-p)/2 (|psi+><psi+| + |phi+><phi+|).
 
@@ -84,9 +74,9 @@ def bell_diagonal_initial(p: float) -> np.ndarray:
     if not (_is_real(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p!r}")
     p = float(p)
-    kets = _bell_kets()
-    rho = p * np.outer(kets["psi-"], kets["psi-"])
-    for name in ("psi+", "phi+"):
-        rho = rho + 0.5 * (1.0 - p) * np.outer(kets[name], kets[name])
+    s = 1.0 / math.sqrt(2.0)
+    psi_minus, psi_plus, phi_plus = np.array([[0, s, -s, 0], [0, s, s, 0], [s, 0, 0, s]])
+    rho = p * np.outer(psi_minus, psi_minus)
+    for ket in (psi_plus, phi_plus):
+        rho = rho + 0.5 * (1.0 - p) * np.outer(ket, ket)
     return rho
-

@@ -75,13 +75,13 @@ class ReservoirParams:
 
     def __post_init__(self) -> None:
         if not (_is_real(self.gamma0) and math.isfinite(self.gamma0) and self.gamma0 > 0):
-            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
+            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0!r}")
         if not (_is_real(self.lambda_) and math.isfinite(self.lambda_) and self.lambda_ > 0):
-            raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_}")
+            raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_!r}")
         # up to 2^53 a float holds N exactly; far beyond it the dynamics'
         # int-to-float conversions overflow (N = 10^308: OverflowError)
         if not _is_int(self.n_qubits) or not 1 <= self.n_qubits <= 2**53:
-            raise ValueError(f"n_qubits must be an integer in [1, 2**53], got {self.n_qubits}")
+            raise ValueError(f"n_qubits must be an integer in [1, 2**53], got {self.n_qubits!r}")
         # decay_amplitude and kernel_ode_oracle form lambda (lambda - 2 N
         # gamma0), N gamma0 lambda and gamma0 lambda / 2 + lambda, which are
         # finite while this product is; past the float range they overflow
@@ -90,7 +90,7 @@ class ReservoirParams:
         if not math.isfinite(lam * max(lam, 2.0 * float(self.n_qubits) * float(self.gamma0))):
             raise ValueError(
                 f"lambda_ * max(lambda_, 2 n_qubits gamma0) must be finite, got lambda_ = "
-                f"{self.lambda_}, gamma0 = {self.gamma0}, n_qubits = {self.n_qubits}"
+                f"{self.lambda_!r}, gamma0 = {self.gamma0!r}, n_qubits = {self.n_qubits!r}"
             )
 
 

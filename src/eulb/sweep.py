@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .audit import Deviation
 from .bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
 from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
 from .linalg import _is_int, _is_real
@@ -327,15 +328,13 @@ def write_sweep(config: SweepConfig, destination) -> None:
 # --- oracle report ----------------------------------------------------------
 
 
-@dataclass
-class OracleDeviation:
-    n_qubits: int
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
+def _deviation(
+    n: int, times: np.ndarray, closed: np.ndarray, oracle: np.ndarray, tolerance: float
+) -> Deviation:
+    """N's row: the largest |closed - oracle| over the time grid, and where it peaks."""
+    dev = np.abs(closed - oracle)
+    i = int(np.argmax(dev))
+    return Deviation(str(n), float(dev[i]), tolerance, float(times[i]))
 
 
 @dataclass
@@ -348,8 +347,8 @@ class OracleReport:
     """
 
     config: SweepConfig
-    kernel: list[OracleDeviation]
-    discrete: list[OracleDeviation] = field(default_factory=list)
+    kernel: list[Deviation]
+    discrete: list[Deviation] = field(default_factory=list)
     discrete_max_norm_error: float | None = None
 
     @property
@@ -362,11 +361,11 @@ class OracleReport:
             f"oracle check: lambda/gamma0 = {self.config.lambda_over_gamma0:g}, "
             f"grid [0, {self.config.t_max_gamma0:g}] x {self.config.steps}"
         ]
-        for label, rows in (("kernel-ODE", self.kernel), ("discrete-mode", self.discrete)):
+        for route, rows in (("kernel-ODE", self.kernel), ("discrete-mode", self.discrete)):
             for row in rows:
                 status = "ok" if row.passed else "FAIL"
                 lines.append(
-                    f"  {label:13s} N={row.n_qubits:<3d} max |dev| = {row.max_deviation:.3e}"
+                    f"  {route:13s} N={row.label:<3s} max |dev| = {row.max_deviation:.3e}"
                     f"  (tol {row.tolerance:g})  {status}"
                 )
         if self.discrete_max_norm_error is not None:
@@ -408,20 +407,10 @@ def oracle_report(config: SweepConfig, n_modes: int | None = None) -> OracleRepo
     for n, params in reservoirs:
         closed = decay_amplitude(params, times)
         ode = kernel_ode_oracle(params, times)
-        kernel_rows.append(
-            OracleDeviation(
-                n_qubits=n,
-                max_deviation=float(np.max(np.abs(closed - ode.amplitudes))),
-                tolerance=KERNEL_ORACLE_TOL,
-            )
-        )
+        kernel_rows.append(_deviation(n, times, closed, ode.amplitudes, KERNEL_ORACLE_TOL))
         if modes is not None:
             traj = discrete_mode_oracle(params, times, modes)
-            row = OracleDeviation(
-                n_qubits=n,
-                max_deviation=float(np.max(np.abs(closed - traj.amplitudes))),
-                tolerance=DISCRETE_ORACLE_TOL,
-            )
+            row = _deviation(n, times, closed, traj.amplitudes, DISCRETE_ORACLE_TOL)
             discrete_rows.append(row)
             err = traj.max_norm_error or 0.0
             max_norm_err = err if max_norm_err is None else max(max_norm_err, err)

@@ -196,9 +196,9 @@ def test_criterion_08_closed_form_audit():
     if abs(rows_full["bell_lhs"].deviation - 0.375) > 1e-6:
         failures.append(f"bell_lhs deviation at c=1 is {rows_full['bell_lhs'].deviation!r}, expected 0.375")
     report = discrepancy_report(0.5)
-    if report.audit("max_ent_lhs").status != "FLAGGED":
+    if report.audit("max_ent_lhs").passed:
         failures.append("max_ent_lhs not FLAGGED")
-    if report.audit("bell_lhs").status != "FLAGGED":
+    if report.audit("bell_lhs").passed:
         failures.append("bell_lhs not FLAGGED")
     if report.evolved_matrix.deviation_at_full_amplitude < 0.125:
         failures.append(

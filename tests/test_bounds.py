@@ -247,6 +247,15 @@ class TestBoundsRecord:
         single = bounds_record(stack[0, 0], pauli_x(), pauli_z(), t=1.5, amplitude=0.7)
         assert single.t == 1.5 and single.amplitude == 0.7
 
+    @pytest.mark.parametrize(
+        ("name", "stamp"),
+        [("t", np.array([0.0, 1.0])), ("t", [0.0, 1.0]), ("amplitude", np.array([0.5]))],
+    )
+    def test_single_state_rejects_array_stamp(self, name, stamp):
+        # float() of these used to raise TypeError instead of the input rule's ValueError
+        with pytest.raises(ValueError, match=f"^{name} must be a scalar for one state"):
+            bounds_record(max_entangled_initial(), pauli_x(), pauli_z(), **{name: stamp})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_state(self, bad):
         # a NaN entry used to give a finite record: u_left 0.0, berta 2.0

@@ -54,6 +54,21 @@ class TestParams:
         with pytest.raises(ValueError, match="n_qubits"):
             ReservoirParams(1.0, 1.0, bad)
 
+    @pytest.mark.parametrize(
+        ("args", "shown"),
+        [
+            ((np.array(1.0), 1.0, 1), "gamma0 must be positive and finite, got array(1.)"),
+            ((1.0, np.array(1.0), 1), "lambda_ must be positive and finite, got array(1.)"),
+            ((1.0, 1.0, "3"), "n_qubits must be an integer in [1, 2**53], got '3'"),
+        ],
+        ids=["gamma0", "lambda_", "n_qubits"],
+    )
+    def test_refusal_shows_the_value_as_given(self, args, shown):
+        # a 0-d array used to print as 1.0, the very value the check accepts
+        with pytest.raises(ValueError) as exc:
+            ReservoirParams(*args)
+        assert str(exc.value) == shown
+
     def test_accepts_numpy_integer_qubit_count(self):
         assert ReservoirParams(1.0, 1.0, np.int64(3)).n_qubits == 3
         assert ReservoirParams(1.0, 1.0, np.int64(2**53)).n_qubits == 2**53

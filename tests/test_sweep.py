@@ -10,14 +10,19 @@ import pytest
 
 import eulb.audit as audit_mod
 import eulb.sweep as sweep_mod
-from eulb.audit import closed_form_report, discrepancy_report, evolved_bell_diagonal_closed_form
+from eulb.audit import (
+    CONSISTENCY_TOL,
+    Deviation,
+    closed_form_report,
+    discrepancy_report,
+    evolved_bell_diagonal_closed_form,
+)
 from eulb.bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
 from eulb.channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
-from eulb.reservoir import ReservoirParams, decay_amplitude
+from eulb.reservoir import AmplitudeTrajectory, ReservoirParams, decay_amplitude
 from eulb.sweep import (
     CSV_HEADER,
     ConfigError,
-    OracleDeviation,
     OracleReport,
     SweepConfig,
     SweepOutput,
@@ -454,7 +459,7 @@ class TestOracleReport:
         )
         report = oracle_report(cfg)
         assert report.passed
-        assert [row.n_qubits for row in report.kernel] == [1, 3]
+        assert [row.label for row in report.kernel] == ["1", "3"]
         assert all(row.max_deviation <= 1e-6 for row in report.kernel)
         assert report.discrete == []
         assert "PASS" in report.render()
@@ -487,12 +492,34 @@ class TestOracleReport:
         cfg = SweepConfig(state="max_entangled", lambda_over_gamma0=1.0)
         report = OracleReport(
             config=cfg,
-            kernel=[OracleDeviation(n_qubits=1, max_deviation=0.3, tolerance=0.25)],
-            discrete=[OracleDeviation(n_qubits=2, max_deviation=0.3, tolerance=0.5)],
+            kernel=[Deviation(label="1", max_deviation=0.3, tolerance=0.25, at=0.0)],
+            discrete=[Deviation(label="2", max_deviation=0.3, tolerance=0.5, at=0.0)],
         )
         lines = report.render().splitlines()
         assert lines[1].endswith("(tol 0.25)  FAIL")
         assert lines[2].endswith("(tol 0.5)  ok")
+
+    def test_row_records_where_the_deviation_peaks(self, monkeypatch):
+        # an oracle equal to the closed form but for one bumped grid time
+        bump, index = 0.25, 37
+
+        def bumped(params, times):
+            amplitudes = decay_amplitude(params, times)
+            amplitudes[index] += bump
+            return AmplitudeTrajectory(times=times, amplitudes=amplitudes)
+
+        monkeypatch.setattr(sweep_mod, "kernel_ode_oracle", bumped)
+        cfg = SweepConfig(
+            state="max_entangled",
+            lambda_over_gamma0=2.0,
+            n_qubits_list=(3,),
+            t_max_gamma0=4.0,
+            steps=81,
+        )
+        (row,) = oracle_report(cfg).kernel
+        assert row.label == "3" and not row.passed
+        assert row.at == np.linspace(0.0, 4.0, 81)[index]
+        assert row.max_deviation == pytest.approx(bump, abs=1e-15)
 
     def test_mode_grid_built_once(self, monkeypatch):
         # the grid reads gamma0 and lambda only, so every N shares it
@@ -553,6 +580,12 @@ class TestOracleReport:
         assert "FAIL" in report.render()
 
 
+def test_deviation_passes_at_its_tolerance():
+    # the rule is max |dev| <= tolerance, so a deviation equal to it passes
+    assert Deviation("x", 1e-9, 1e-9, 0.0).passed
+    assert not Deviation("x", float(np.nextafter(1e-9, 1.0)), 1e-9, 0.0).passed
+
+
 @pytest.fixture(scope="module")
 def report():
     return discrepancy_report(0.5)
@@ -572,12 +605,13 @@ class TestDiscrepancyReport:
             "bell_bound": "FLAGGED",
             "bell_delta": "FLAGGED",
         }
-        assert {row.name: row.status for row in report.formulas} == expected
+        statuses = {row.label: "CONSISTENT" if row.passed else "FLAGGED" for row in report.formulas}
+        assert statuses == expected
 
     def test_flagged_lhs_peaks_at_full_amplitude(self, report):
         row = report.audit("max_ent_lhs")
         assert abs(row.max_deviation - 1.0) <= 1e-9
-        assert row.worst_c == 1.0
+        assert row.at == 1.0
 
     def test_evolved_matrix_audit(self, report):
         m = report.evolved_matrix
@@ -588,7 +622,7 @@ class TestDiscrepancyReport:
     def test_render_mentions_every_formula(self, report):
         text = report.render()
         for row in report.formulas:
-            assert row.name in text
+            assert row.label in text
         assert "bell_evolved_matrix" in text
 
     def test_p_range_check(self):
@@ -609,8 +643,8 @@ class TestDiscrepancyReport:
         report = discrepancy_report(p)
         assert report.amplitude_grid.size == 101
         assert [
-            (row.name, row.max_deviation, row.worst_c) for row in report.formulas
-        ] == [(row.name, row.max_deviation, row.worst_c) for row in reference.formulas]
+            (row.label, row.max_deviation, row.at) for row in report.formulas
+        ] == [(row.label, row.max_deviation, row.at) for row in reference.formulas]
         assert report.evolved_matrix == reference.evolved_matrix
 
 
@@ -634,10 +668,12 @@ def _pointwise_discrepancy(p: float) -> audit_mod.DiscrepancyReport:
     return audit_mod.DiscrepancyReport(
         p=p,
         amplitude_grid=grid,
-        formulas=[audit_mod.FormulaAudit(name, dev, c) for name, (dev, c) in worst.items()],
+        formulas=[Deviation(name, dev, CONSISTENCY_TOL, c) for name, (dev, c) in worst.items()],
         evolved_matrix=audit_mod.MatrixAudit(
+            label="bell_evolved_matrix",
             max_deviation=matrix_worst[0],
-            worst_c=matrix_worst[1],
+            tolerance=CONSISTENCY_TOL,
+            at=matrix_worst[1],
             worst_entry=matrix_worst[2],
             deviation_at_full_amplitude=float(np.max(gap_full)),
         ),
