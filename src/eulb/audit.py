@@ -318,7 +318,7 @@ class DiscrepancyReport:
     evolved_matrix: MatrixAudit
 
     def audit(self, label: str) -> Deviation:
-        for row in self.formulas:
+        for row in [*self.formulas, self.evolved_matrix]:
             if row.label == label:
                 return row
         raise KeyError(label)

@@ -10,8 +10,10 @@ qubit B kept as the memory, the quantities of interest are
 
 Everything here is computed from the definitions through spectra: the
 4x4 spectrum of rho from LAPACK, the 2x2 spectra of its marginals and
-measurement branches in closed form (linalg._eigvalsh_2x2).  The
-tabulated closed forms that audit.py checks are never used.
+measurement branches in closed form (linalg._eigvalsh_2x2).  A ledger
+call makes one Hermiticity check, on rho, and one floor check over all
+16 eigenvalues, whose error names the smallest of them.  The tabulated
+closed forms that audit.py checks are never used.
 
 The ledger functions take one 4x4 state or a (..., 4, 4) stack, such as
 one state per time point, through the same code; for a stack their
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigvalsh_2x2, _inexact, _real_array, entropy_from_eigenvalues, von_neumann_entropy
+from .linalg import _eigvalsh_2x2, _entropy, _inexact, _plogp, _real_array, eigenvalues_hermitian
 
 ZERO_PROBABILITY_TOL = 1e-12
 _IDENTITY = np.eye(2)
@@ -146,18 +148,19 @@ def _ledger(
     kets = np.concatenate([q.kets, r.kets])  # the kets of q, then of r
     if rho.dtype != kets.dtype:  # float64 or complex128 each: one is complex
         rho, kets = rho.astype(complex, copy=False), kets.astype(complex, copy=False)
-    # The call's one Hermiticity check.  The six 2x2 blocks that
-    # _reduced_spectra solves are partial traces and compressions of rho,
-    # so they are Hermitian with it.
-    s_ab = von_neumann_entropy(rho)
+    # The call's one Hermiticity check: the six 2x2 blocks that _reduced_spectra
+    # solves are partial traces and compressions of rho, Hermitian with it.
+    spectrum = eigenvalues_hermitian(rho)
     evals, p = _reduced_spectra(rho, kets)
-    # Taken once _reduced_spectra's blocks are freed: this entropy is the
-    # ledger's largest step.  The post-measurement state is block diagonal
-    # in the measured basis, so its entropy is the sum of its branches'.
-    s = entropy_from_eigenvalues(evals)
+    # rho's 4 eigenvalues, then the blocks' 12; parts freed, terms in place: the memory peak
+    terms = np.concatenate([spectrum, evals.reshape(p.shape[:-1] + (12,))], axis=-1)
+    del spectrum, evals
+    _plogp(terms)
+    s_ab = _entropy(terms[..., :4])
+    s = _entropy(terms[..., 4:].reshape(p.shape[:-1] + (6, 2)))
     s_a, s_b = s[..., 0], s[..., 1]
     h = s[..., 2:].reshape(s.shape[:-1] + (2, 2))  # [..., observable q or r, outcome]
-    post = h.sum(axis=-1)
+    post = h.sum(axis=-1)  # the post-measurement state is block diagonal: a sum of branches
     hol = _holevo(s_b[..., None], p.reshape(h.shape), h)
     mi = s_a + s_b - s_ab
     ce = s_ab - s_b

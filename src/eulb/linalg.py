@@ -1,10 +1,9 @@
 """Spectra and entropies of 2x2 and 4x4 Hermitian matrices.
 
-States are plain ``numpy`` arrays.  Two-qubit matrices use the A-major
-basis ordering |00>, |01>, |10>, |11> (flat index = 2a + b) throughout
-the package, the ordering np.kron(a, b) gives; the package builds and
-reduces states with numpy directly and has no Kronecker or partial-trace
-helper of its own.  All entropies are in bits (base-2 logarithms).
+States are plain ``numpy`` arrays, built and reduced with numpy directly.
+Two-qubit matrices use the A-major basis ordering |00>, |01>, |10>, |11>
+(flat index = 2a + b), the ordering np.kron(a, b) gives.  All entropies
+are in bits (base-2 logarithms).
 
 Every matrix function accepts one matrix or a stack of shape (..., n, n),
 such as one state per time point, and works on the whole stack through
@@ -13,6 +12,8 @@ leading stack axes.  The Hermiticity check and the spectra keep a real
 input real and solve a complex one in complex arithmetic.  2x2 spectra
 come in closed form from elementwise ufuncs; 4x4 spectra come from
 LAPACK (numpy's eigvalsh, its real symmetric solver for a real input).
+Entropies take the floor check and p log2 p from one kernel: a ledger
+call runs it once over its 16 eigenvalues; the error names the smallest.
 
 This base module also owns the package's one rule for numeric input
 (_inexact): integer, float or complex dtypes, never bools or strings.
@@ -70,7 +71,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """
     m = _inexact(m, "m")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which callers reject
-        return float(np.abs(m - m.swapaxes(-1, -2).conj()).max())
+        return float(np.abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0))
 
 
 def _eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
@@ -113,6 +114,21 @@ def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
     return solve(m)[..., ::-1]
 
 
+def _plogp(evals: np.ndarray) -> np.ndarray:
+    """The float64 array evals, overwritten with p log2 p: 0 for NaN and p in [-1e-10, 0]."""
+    # one reduction; fmin skips NaN, and the initial value covers an empty stack
+    smallest = np.fmin.reduce(evals, axis=None, initial=np.inf)
+    if smallest < EIGENVALUE_FLOOR:
+        raise ValueError(f"eigenvalue {smallest:.3e} below positivity floor {EIGENVALUE_FLOOR}")
+    np.copyto(evals, 1.0, where=~(evals > 0.0))  # 1 log 1 = 0 stands in for 0 log 0
+    return np.multiply(evals, np.log2(evals), out=evals)
+
+
+def _entropy(terms: np.ndarray) -> float | np.ndarray:
+    """-sum of _plogp's terms over the last axis, clamped at 0 against ~1 ulp of roundoff."""
+    return np.maximum(-terms.sum(axis=-1), 0.0)
+
+
 def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
     """-sum p log2 p over the last axis, with 0 log 0 = 0.
 
@@ -120,16 +136,7 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
     normalised: for a branch of probability p, p S(sigma/p) equals this
     entropy of sigma's spectrum plus p log2 p.
     """
-    evals = _real_array(evals, "evals")
-    # one reduction; fmin skips NaN, and the initial value covers an empty stack
-    smallest = np.fmin.reduce(evals, axis=None, initial=np.inf)
-    if smallest < EIGENVALUE_FLOOR:
-        raise ValueError(f"eigenvalue {smallest:.3e} below positivity floor {EIGENVALUE_FLOOR}")
-    p = np.where(evals > 0.0, evals, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
-    terms = np.log2(p)
-    np.multiply(p, terms, out=terms)
-    s = -terms.sum(axis=-1)
-    return np.maximum(s, 0.0)  # roundoff guard when an eigenvalue exceeds 1 by ~1 ulp
+    return _entropy(_plogp(_real_array(evals, "evals").copy(order="K")))  # _plogp overwrites
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import eulb.audit as audit_mod
+import eulb.bounds as bounds_mod
 from conftest import (
     partial_trace,
     post_measurement_state,
@@ -14,7 +15,7 @@ from conftest import (
     random_density_matrix,
     random_observable_pair,
 )
-from eulb.audit import closed_form_report
+from eulb.audit import closed_form_report, discrepancy_report
 from eulb.bounds import (
     BoundsRecord,
     Observable,
@@ -268,6 +269,49 @@ class TestBoundsRecord:
         with pytest.raises(ValueError, match="non-finite"):
             bounds_record(stack, pauli_x(), pauli_z())
 
+    @pytest.mark.parametrize(
+        ("diagonal", "smallest"),
+        [
+            ((-1e-3, 0.5, 0.5 + 1e-3, 0.0), "-1.000e-03"),
+            # rho_AB passes the floor; only rho_B's (0, 0) entry, -1.8e-10, falls below it
+            ((-0.9e-10, 0.5, -0.9e-10, 0.5 + 1.8e-10), "-1.800e-10"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rejects_state_below_floor(self, diagonal, smallest, dtype):
+        # one floor check over the 16 eigenvalues of rho_AB, its marginals
+        # and its branches names the smallest of them
+        rho = np.diag(diagonal).astype(dtype)
+        match = f"eigenvalue {smallest} below positivity floor"
+        with pytest.raises(ValueError, match=match):
+            bounds_record(rho, pauli_x(), pauli_z())
+        stack = np.array([np.eye(4) / 4, rho, max_entangled_initial()], dtype=dtype)
+        with pytest.raises(ValueError, match=match):
+            bounds_record(stack, pauli_x(), pauli_z())
+
+    def test_empty_stack(self):
+        rec = bounds_record(np.zeros((0, 4, 4)), pauli_x(), pauli_z())
+        for name in (f.name for f in dataclasses.fields(BoundsRecord)):
+            assert getattr(rec, name).shape == (0,), name
+
+    def test_one_spectral_pass_per_call(self, monkeypatch, rng):
+        calls = []
+        plogp = bounds_mod._plogp
+
+        def counting(evals):
+            calls.append(evals.shape)
+            return plogp(evals)
+
+        monkeypatch.setattr(bounds_mod, "_plogp", counting)
+        bounds_record(random_density_matrix(rng, 4), pauli_x(), pauli_z())
+        assert calls == [(16,)]
+        stack = np.array([[random_density_matrix(rng, 4) for _ in range(3)] for _ in range(2)])
+        bounds_record(stack, pauli_x(), pauli_z())
+        assert calls[1:] == [(2, 3, 16)]
+        calls.clear()
+        discrepancy_report(0.5)
+        assert len(calls) == -(-101 // audit_mod._AUDIT_BLOCK)  # one per amplitude block
+
     @pytest.mark.parametrize(("name", "bad"), [("t", "2"), ("t", False), ("amplitude", True), ("amplitude", "1")])
     @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
     def test_rejects_non_real_time_and_amplitude(self, name, bad, shape):
@@ -425,6 +469,12 @@ class TestClosedForms:
     def test_rejects_non_real_amplitude(self, bad):
         with pytest.raises(ValueError, match="amplitude must be a real number"):
             closed_form_report(bad)
+
+    def test_empty_amplitude_array(self):
+        rows = closed_form_report(np.array([]))
+        assert len(rows) == 10
+        for row in rows:
+            assert row.closed_form.shape == row.definition.shape == row.deviation.shape == (0,)
 
     def test_array_report_equals_scalar_reports(self):
         amplitudes = np.array([-1.0, -0.6, -0.25, 0.0, 1e-9, 0.3, 0.5, 0.77, 0.99, 1.0])

@@ -170,6 +170,13 @@ class TestEigenvalues:
         bound = 16 * np.finfo(float).eps * np.abs(stack).max(axis=(-2, -1))
         assert np.all(np.abs(mine - np.linalg.eigvalsh(stack)) <= bound[:, None])
 
+    def test_empty_stack(self):
+        # the Hermiticity check's reduction used to have no identity for a size-0 stack
+        assert eigenvalues_hermitian(np.zeros((0, 4, 4))).shape == (0, 4)
+        assert eigenvalues_hermitian(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2)
+        assert hermiticity_defect(np.zeros((0, 2, 2))) == 0.0
+        assert math.isnan(hermiticity_defect(np.array([[np.nan, 0.0], [0.0, 1.0]])))
+
     def test_hermiticity_defect_of_real_and_complex_input(self):
         assert hermiticity_defect(np.array([[1, 2], [3, 4]])) == 1.0
         assert hermiticity_defect(np.array([[1.0, 0.5j], [0.5j, 1.0]])) == 1.0
@@ -223,6 +230,17 @@ class TestEntropy:
         assert entropy_from_eigenvalues(np.zeros((0, 4))).shape == (0,)
         assert entropy_from_eigenvalues(np.zeros(0)) == 0.0
         assert np.array_equal(entropy_from_eigenvalues(np.zeros((3, 0))), np.zeros(3))
+
+    def test_von_neumann_entropy_of_empty_stack(self):
+        assert von_neumann_entropy(np.zeros((0, 2, 2))).shape == (0,)
+        assert von_neumann_entropy(np.zeros((0, 3, 4, 4))).shape == (0, 3)
+
+    def test_input_left_unchanged(self):
+        # the p log2 p kernel works in place, so the wrapper hands it a copy
+        evals = np.array([[0.5, 0.5, 0.0, -1e-12], [np.nan, 1.0, 0.0, 0.0]])
+        kept = evals.copy()
+        entropy_from_eigenvalues(evals)
+        assert np.array_equal(evals, kept, equal_nan=True)
 
     def test_nan_counts_as_zero_probability(self):
         # NaN is neither below the floor nor positive, so it adds 0 log 0

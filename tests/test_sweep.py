@@ -629,6 +629,13 @@ class TestDiscrepancyReport:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             discrepancy_report(-0.2)
 
+    def test_audit_finds_every_rendered_row(self, report):
+        # the matrix row used to raise KeyError, although render prints it
+        rows = [*report.formulas, report.evolved_matrix]
+        assert len(rows) == 11
+        for row in rows:
+            assert report.audit(row.label) is row
+
     def test_unknown_audit_name(self, report):
         with pytest.raises(KeyError):
             report.audit("nope")
