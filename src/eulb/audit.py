@@ -355,9 +355,11 @@ def discrepancy_report(p: float = 0.5) -> DiscrepancyReport:
     # by block, then the matrix row: the largest entrywise gap at each c.
     deviation = np.concatenate([_closed_forms(grid), np.empty((1, grid.size))])
     entry = np.empty(grid.size, dtype=int)  # the flat 4x4 index of that gap
+    # _evolved's initial states, built once for every block: shape (2, 1, 4, 4)
+    initials = np.stack([max_entangled_initial(), bell_diagonal_initial(p)])[:, None]
     for start in range(0, grid.size, _AUDIT_BLOCK):
         rows = slice(start, start + _AUDIT_BLOCK)
-        evolved = _evolved(grid[rows], p)
+        evolved = apply_memory_decay(initials, grid[rows])
         deviation[:-1, rows] = np.abs(deviation[:-1, rows] - _definitions(evolved))
         gap = np.abs(evolved_bell_diagonal_closed_form(p, grid[rows]) - evolved[1])
         entry[rows] = np.argmax(gap.reshape(-1, 16), axis=1)

@@ -18,6 +18,7 @@ resolved discrete reservoir, or of the kernel ODE).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -70,6 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built on the first main call, not at import
+    return build_parser()
+
+
 def _load_config(args: argparse.Namespace):
     if getattr(args, "fig", None) is not None:
         return figure_preset(args.fig)
@@ -82,7 +88,7 @@ def _load_config(args: argparse.Namespace):
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse --help exits 0, argument errors exit 1
         return int(exc.code or 0)
     try:

@@ -69,7 +69,10 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
     A NaN or inf entry gives NaN or inf, without a RuntimeWarning.
     """
-    m = _inexact(m, "m")
+    return _defect(_inexact(m, "m"))
+
+
+def _defect(m: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which callers reject
         return float(np.abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0))
 
@@ -103,10 +106,13 @@ def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
 
     2x2 in closed form (_eigvalsh_2x2), 4x4 by LAPACK (np.linalg.eigvalsh).
     """
-    m = _inexact(m, "m")
+    return _eigenvalues(_inexact(m, "m"))
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
     if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
+    defect = _defect(m)
     # a NaN or inf entry makes the defect NaN or inf, so this also rejects it
     if not defect <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian or has non-finite entries (defect {defect:.3e})")
@@ -141,7 +147,8 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits of a 2x2 or 4x4 density matrix, or of each member of a stack."""
-    return entropy_from_eigenvalues(eigenvalues_hermitian(_inexact(rho, "rho")))
+    # one input conversion; _plogp overwrites the fresh spectrum, which this call owns
+    return _entropy(_plogp(_eigenvalues(_inexact(rho, "rho"))))
 
 
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:

@@ -54,6 +54,8 @@ _MAX_PHASE = 1e6
 # five: a (3, M) buffer (the arm and two vectors), the diagonal and scratch.
 _MAX_MODES = 1_000_000
 
+_RESEED = 64  # grid times between fresh phasor reads in the discrete-mode quadrature
+
 # Half-width of the discrete-mode frequency window over lambda.  The modes
 # outside it carry 1 - 2 atan(20) / pi = 3.2% of J's weight; the deviation
 # this leaves (~2e-4 to 4e-4 on the fig 2 preset) is well inside the tolerance.
@@ -310,23 +312,22 @@ def _chebyshev_moments(freqs, coupling, centre: float, half_width: float, n_mome
     scratch = np.empty(freqs.size)
     head = -2.0 * centre / half_width
     mu_1 = 0.5 * head
-    heads = np.empty(steps + 1)
-    moments = np.empty(2 * steps)  # mu_0 and mu_1 even when K = 1
-    heads[:2] = moments[:2] = 1.0, mu_1
+    heads, moments = [1.0, mu_1], [1.0, mu_1]  # mu_0 and mu_1 even when K = 1
     prev_head, cur_head, prev_row = 1.0, mu_1, 1  # prev is buf[prev_row], cur the other row
-    for k in range(1, steps):
+    for _ in range(1, steps):
         # prev <- 2 H~ cur - prev = phi_{k+1}
         np.multiply(arm, cur_head, out=scratch)
         np.subtract(scratch, prev, out=prev)
         np.multiply(diag, cur, out=scratch)
         prev += scratch
-        dots = (buf @ cur).tolist()  # arm . cur, then buf[1] . cur and buf[2] . cur
+        dots = buf.dot(cur).tolist()  # arm . cur, then buf[1] . cur and buf[2] . cur
         next_head = head * cur_head + dots[0] - prev_head
-        moments[2 * k] = 2.0 * (cur_head * cur_head + dots[3 - prev_row]) - 1.0
-        moments[2 * k + 1] = 2.0 * (next_head * cur_head + dots[prev_row]) - mu_1
-        heads[k + 1] = next_head
+        moments.append(2.0 * (cur_head * cur_head + dots[3 - prev_row]) - 1.0)
+        moments.append(2.0 * (next_head * cur_head + dots[prev_row]) - mu_1)
+        heads.append(next_head)
         prev, cur, prev_head, cur_head, prev_row = cur, prev, cur_head, next_head, 3 - prev_row
-    return moments[:n_moments], float(np.max(np.abs(heads - moments[: steps + 1])))
+    moments = np.array(moments)
+    return moments[:n_moments], float(np.max(np.abs(np.array(heads) - moments[: steps + 1])))
 
 
 def discrete_mode_oracle(
@@ -357,10 +358,21 @@ def discrete_mode_oracle(
     the K + 1 Chebyshev nodes E_p = centre + a cos(pi p / K), giving
     trapezoid weights w_p with Re s(t) = sum_p w_p cos(t E_p) at every grid
     time; the rule is exact because the integrand's bandwidth stays below
-    2K.  Memory is O(M + K).  The head entry phi_k[0] is mu_k as well, and
-    the largest |phi_k[0] - mu_k| over the vectors formed, which checks the
-    doubled moments, is reported as max_norm_error (a name kept from an
-    earlier norm check).
+    2K.  The head entry phi_k[0] is mu_k as well, and the largest
+    |phi_k[0] - mu_k| over the vectors formed, which checks the doubled
+    moments, is reported as max_norm_error (a name kept from an earlier
+    norm check).
+
+    The sum reads Re z_p of the phasor z_p = exp(i t E_p), which one
+    product with a held rotation exp(i h E_p) steps to the next time.  A
+    rotation is built only for a span h that the next six spans share
+    within the slack, 4 ulps of t_max, and kept for later spans within it.
+    Other times, and every B-th (B = _RESEED = 64), take the cosines
+    afresh, bit for bit as without rotations, so irregular grids cost what
+    they did.  Between fresh reads z runs ahead by one offset delta for all
+    nodes, |delta| <= (B - 1) slack: each phase is off by at most
+    B max|E_p| slack, and C, as |ds/dt| <= ||H e0|| = sqrt(N) ||g||, by at
+    most |delta| ||g|| / sqrt(N).  Memory is O(M + K).
 
     The propagation is exact for the discretized reservoir at every time;
     it converges to the closed form, up to the window's cut, as n_modes
@@ -389,12 +401,28 @@ def discrete_mode_oracle(
     weights = np.fft.rfft(moments, 2 * n_moments).real / n_moments
     weights[[0, -1]] *= 0.5
     energies = centre + half_width * np.cos((math.pi / n_moments) * np.arange(n_moments + 1))
+    spans = np.diff(grid, append=math.inf).tolist()  # spans[i] = t_{i+1} - t_i
+    slack = 4.0 * float(np.spacing(grid[-1]))  # spans this close share one rotation
     phases = np.empty_like(energies)
+    phasor, rotation = np.empty((2, energies.size), dtype=complex)  # e^{i t E}, e^{i held E}
+    held = math.nan
     sums = np.empty(grid.size)
     for i, t in enumerate(grid.tolist()):
-        np.multiply(energies, t, out=phases)
-        np.cos(phases, out=phases)
-        sums[i] = np.einsum("i,i->", weights, phases)  # a BLAS dot wakes a second thread
+        if i % _RESEED and abs(spans[i - 1] - held) <= slack:
+            read = np.multiply(phasor, rotation, out=phasor).real
+        else:  # the cosine read
+            ahead = spans[i : i + 6]  # a new rotation costs ~4 cosines and saves ~1 a step
+            if not abs(ahead[0] - held) <= slack and max(ahead) - min(ahead) <= slack:
+                held = ahead[0]
+                np.multiply(energies, held, out=rotation.real)
+                np.sin(rotation.real, out=rotation.imag)
+                np.cos(rotation.real, out=rotation.real)
+            np.multiply(energies, t, out=phases)
+            if (i + 1) % _RESEED and abs(ahead[0] - held) <= slack:  # the next time rotates
+                np.sin(phases, out=phasor.imag)
+                np.cos(phases, out=phasor.real)
+            read = np.cos(phases, out=phases)  # contiguous: the bits of a grid with no rotation
+        sums[i] = np.einsum("i,i->", weights, read)  # a BLAS dot wakes a second thread
     if grid[0] == 0.0:
         sums[0] = 1.0  # s(0) = 1 exactly
     return AmplitudeTrajectory(

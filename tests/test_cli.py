@@ -7,8 +7,9 @@ import warnings
 import pytest
 
 import eulb
+import eulb.cli as cli_mod
 import eulb.sweep as sweep_mod
-from eulb.cli import main
+from eulb.cli import build_parser, main
 
 SMALL_CONFIG = """\
 state = max_entangled
@@ -274,3 +275,41 @@ def test_oracle_resolved_disagreement_exits_2(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1] == "result: FAIL"
     assert all(line.endswith("FAIL") for line in lines if "discrete-mode N=" in line)
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    # main builds its parser on the first call, not at import, and reuses it
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    cli_mod._parser.cache_clear()
+    try:
+        path = tmp_path / "tiny.cfg"
+        path.write_text(TINY_CONFIG)
+        assert main(["oracle", "--config", str(path)]) == 0
+        first = capsys.readouterr().out
+        assert main(["audit", "--p", "2"]) == 1  # a validation error between two valid calls
+        assert main(["oracle", "--config", str(path), "--discrete-modes", "x"]) == 1  # a usage error
+        capsys.readouterr()
+        assert main(["oracle", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == first
+        assert built == [1]
+    finally:
+        cli_mod._parser.cache_clear()  # later tests build the real parser afresh
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0_twice(flag, capsys):
+    outputs = []
+    for _ in range(2):
+        assert main([flag]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import eulb.linalg as linalg_mod
 from conftest import partial_trace, random_density_matrix, random_unitary
 from eulb.linalg import (
     _eigvalsh_2x2,
@@ -230,6 +231,20 @@ class TestEntropy:
         assert entropy_from_eigenvalues(np.zeros((0, 4))).shape == (0,)
         assert entropy_from_eigenvalues(np.zeros(0)) == 0.0
         assert np.array_equal(entropy_from_eigenvalues(np.zeros((3, 0))), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 5, 4, 4)])
+    def test_von_neumann_entropy_converts_its_input_once(self, monkeypatch, shape):
+        calls = []
+        inexact = linalg_mod._inexact
+
+        def counting(value, name, real=False):
+            calls.append(name)
+            return inexact(value, name, real)
+
+        monkeypatch.setattr(linalg_mod, "_inexact", counting)
+        rho = np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape)
+        assert np.allclose(von_neumann_entropy(rho), math.log2(shape[-1]))
+        assert calls == ["rho"]
 
     def test_von_neumann_entropy_of_empty_stack(self):
         assert von_neumann_entropy(np.zeros((0, 2, 2))).shape == (0,)

@@ -19,7 +19,7 @@ from eulb.reservoir import (
     discrete_mode_oracle,
     kernel_ode_oracle,
 )
-from eulb.sweep import KERNEL_ORACLE_TOL
+from eulb.sweep import KERNEL_ORACLE_TOL, figure_preset
 
 # Closed-form value at gamma0*t = 0.1 for N=1, lambda=40*gamma0, confirmed by
 # the kernel ODE route and by a 40-digit evaluation of the formula.
@@ -606,3 +606,84 @@ class TestDoubledMomentRecurrence:
         assert head_error == traj.max_norm_error
         dense = _dense_moments(f, coupling, centre, half_width, n_moments)
         assert np.max(np.abs(moments - dense)) <= 1e-13
+
+
+def _cosine_quadrature(params, t, mode_grid):
+    """C(t) from the oracle's quadrature read with one cosine per node and time."""
+    n, f = params.n_qubits, mode_grid.frequencies
+    coupling = math.sqrt(n) * mode_grid.couplings
+    centre = 0.5 * (float(f.min()) + float(f.max()))
+    half_width = 0.5 * (float(f.max()) - float(f.min())) + float(np.linalg.norm(coupling))
+    k = _bessel_series(half_width * float(t[-1])).size
+    moments = _chebyshev_moments(f, coupling, centre, half_width, k)[0]
+    moments[1:] *= 2.0
+    weights = np.fft.rfft(moments, 2 * k).real / k
+    weights[[0, -1]] *= 0.5
+    energies = centre + half_width * np.cos((math.pi / k) * np.arange(k + 1))
+    sums = np.array([weights @ np.cos(time * energies) for time in t])
+    return ((n - 1.0) + sums) / n
+
+
+def _irregular_grid(t_max, size, seed=5):
+    """A grid from 0 to t_max whose spans are all distinct."""
+    t = np.concatenate([[0.0], np.sort(np.random.default_rng(seed).uniform(0.0, t_max, size - 2)), [t_max]])
+    assert np.unique(np.diff(t)).size == size - 1
+    return t
+
+
+class TestPhasorQuadrature:
+    # the quadrature steps a phasor exp(i t E_p) by a held rotation and reads
+    # the cosines afresh every 64 times and wherever no rotation serves; each
+    # case must stay within 1e-12 of one cosine per node and time
+    BENCH = ReservoirParams(1.0, 40.0, 1)
+    BENCH_MODES = build_mode_grid(BENCH, 2000)
+
+    @pytest.mark.parametrize("fig", [2, 3])
+    def test_preset_grids_match_cosine_read(self, fig):
+        config = figure_preset(fig)
+        modes = build_mode_grid(ReservoirParams(1.0, config.lambda_over_gamma0, 1), 2000)
+        t = np.linspace(0.0, config.t_max_gamma0, config.steps)
+        for n in config.n_qubits_list:
+            params = ReservoirParams(1.0, config.lambda_over_gamma0, n)
+            amplitudes = discrete_mode_oracle(params, t, modes).amplitudes
+            assert np.max(np.abs(amplitudes - _cosine_quadrature(params, t, modes))) <= 1e-12, n
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.linspace(0.0, 2.0, 201), _irregular_grid(2.0, 201)]
+        + [np.linspace(0.0, 2.0, size) for size in (63, 64, 65, 129)],
+        ids=["bench", "irregular", "63", "64", "65", "129"],
+    )
+    def test_bench_config_matches_cosine_read(self, t):
+        amplitudes = discrete_mode_oracle(self.BENCH, t, self.BENCH_MODES).amplitudes
+        assert np.max(np.abs(amplitudes - _cosine_quadrature(self.BENCH, t, self.BENCH_MODES))) <= 1e-12
+
+    def test_piecewise_uniform_grid_matches_cosine_read(self):
+        # three spans in turn, and one doubled span where a time is left out:
+        # each change needs a fresh read, and a new span a new rotation
+        t = np.concatenate([np.linspace(0.0, 0.5, 101), np.linspace(0.5, 1.5, 51)[1:], 1.5 + 0.003 * np.arange(1, 90)])
+        t = np.delete(t, 40)
+        amplitudes = discrete_mode_oracle(self.BENCH, t, self.BENCH_MODES).amplitudes
+        assert np.max(np.abs(amplitudes - _cosine_quadrature(self.BENCH, t, self.BENCH_MODES))) <= 1e-12
+
+    def test_every_64th_time_is_read_afresh(self):
+        # t[::64] has too few spans to build a rotation, so it is read with
+        # the cosines at every time; the full grid must agree there bit for bit
+        t = np.linspace(0.0, 2.0, 129)
+        full = discrete_mode_oracle(self.BENCH, t, self.BENCH_MODES).amplitudes
+        assert np.array_equal(full[::64], discrete_mode_oracle(self.BENCH, t[::64], self.BENCH_MODES).amplitudes)
+
+    def test_peak_does_not_grow_with_distinct_spans(self):
+        # same t_max, so the same K; a rotation per distinct span would add
+        # 200 vectors of K + 1 complex entries to the irregular grid's peak
+        peaks = []
+        for t in (np.linspace(0.0, 2.0, 201), _irregular_grid(2.0, 201)):
+            discrete_mode_oracle(self.BENCH, t, self.BENCH_MODES)  # numpy's FFT caches its plan
+            tracemalloc.start()
+            try:
+                discrete_mode_oracle(self.BENCH, t, self.BENCH_MODES)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        k = _bessel_series(2.0 * (20.0 * 40.0 + 10.0)).size  # above the bench config's K
+        assert peaks[1] <= peaks[0] + 16 * k
