@@ -33,13 +33,13 @@ CONSISTENCY_TOL = 1e-9
 
 # The definition route and the tabulated-matrix gap run in blocks of this
 # many amplitudes, each block one channel call and one ledger call on the
-# (2, block) stack of both families, which stays real; the ledger's
-# temporaries take ~0.9 kB per amplitude.  The closed forms run once over
-# the whole grid.  The tracemalloc peak of the 101-point audit is ~0.025 MB
-# at 8 amplitudes per block, ~0.022 MB at 6, ~0.030 MB at 12 and ~0.036 MB
-# at 16; per audit, 6 take ~15% more time than 8, and 12 ~20% less (2-vCPU
-# VM, numpy 2.4).
-_AUDIT_BLOCK = 8
+# (2, block) stack of both families, which stays real; a block's peak grows
+# by ~1.2 kB per amplitude.  The closed forms run once over the whole grid.
+# The 101-point audit peaks (tracemalloc) at ~0.034 MB with 16 amplitudes a
+# block, ~0.024 MB with 8 and ~0.046 MB with 26; ten audits take ~22, ~33 and
+# ~17 ms (2-vCPU VM, numpy 2.4).  16 stays well below the ~0.053 MB peak of
+# the bench's single_state workload, which its 100 held records set.
+_AUDIT_BLOCK = 16
 
 
 def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:

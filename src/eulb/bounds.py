@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigvalsh_2x2, _entropy, _inexact, _plogp, _real_array, eigenvalues_hermitian
+from .linalg import _check_hermitian, _eigvalsh_2x2, _entropy, _inexact, _plogp, _real_array
+from .linalg import eigenvalues_hermitian  # noqa: F401  # re-exported: eulb.bounds.eigenvalues_hermitian
 
 ZERO_PROBABILITY_TOL = 1e-12
 _IDENTITY = np.eye(2)
@@ -72,19 +73,21 @@ def _reduced_spectra(rho: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.
     Tr <k|rho|k>, shape (..., 4), from one contraction and one closed-form
     2x2 solve over all six blocks.  rho and kets share one dtype."""
     stack = rho.shape[:-2]
-    # rho viewed as [..., (a, c), (b, d)], so that one weight row over (a, c)
-    # contracts qubit A away: the identity gives rho_B, and conj(k_a) k_c
-    # gives the branch <k|rho|k>.
-    blocks = rho.reshape(stack + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(stack + (4, 4))
     weights = np.empty((5, 2, 2), dtype=rho.dtype)
     weights[0] = _IDENTITY  # a constant: a per-call np.eye (~5 kB transient) set the peak
     np.multiply(kets.conj()[:, :, None], kets[:, None, :], out=weights[1:])
     reduced = np.empty(stack + (6, 4), dtype=rho.dtype)  # rho_A, rho_B, then the branches
+    # rho_A: the b = d = 0, 1 entries, summed before the blocks copy below is alive
+    reduced[..., 0, :] = (rho[..., ::2, ::2] + rho[..., 1::2, 1::2]).reshape(stack + (4,))
+    # rho viewed as [..., (a, c), (b, d)], so that one weight row over (a, c)
+    # contracts qubit A away: the identity gives rho_B, and conj(k_a) k_c
+    # gives the branch <k|rho|k>.
+    blocks = rho.reshape(stack + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(stack + (4, 4))
     np.einsum("jm,...mx->...jx", weights.reshape(5, 4), blocks, out=reduced[..., 1:, :])
-    reduced[..., 0, :] = blocks[..., :, 0] + blocks[..., :, 3]  # rho_A: the b = d = 0, 1 slices
     del blocks  # a copy of rho: freed before the solve's temporaries set the peak
     evals = _eigvalsh_2x2(reduced.reshape(stack + (6, 2, 2)))
-    return evals, reduced.real[..., 2:, 0] + reduced.real[..., 2:, 3]
+    # all six traces: (..., 6) coalesces to one axis, so the ufunc needs no buffer
+    return evals, (reduced.real[..., 0] + reduced.real[..., 3])[..., 2:]
 
 
 def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -150,14 +153,15 @@ def _ledger(
         rho, kets = rho.astype(complex, copy=False), kets.astype(complex, copy=False)
     # The call's one Hermiticity check: the six 2x2 blocks that _reduced_spectra
     # solves are partial traces and compressions of rho, Hermitian with it.
-    spectrum = eigenvalues_hermitian(rho)
-    evals, p = _reduced_spectra(rho, kets)
-    # rho's 4 eigenvalues, then the blocks' 12; parts freed, terms in place: the memory peak
-    terms = np.concatenate([spectrum, evals.reshape(p.shape[:-1] + (12,))], axis=-1)
-    del spectrum, evals
+    _check_hermitian(rho)
+    evals, p = _reduced_spectra(rho, kets)  # the block solve sets the call's memory peak
+    # rho's 4 eigenvalues, from LAPACK after that solve, then the blocks' 12
+    terms = np.concatenate([np.linalg.eigvalsh(rho)[..., ::-1], evals.reshape(*p.shape[:-1], 12)], -1)
+    del evals
     _plogp(terms)
     s_ab = _entropy(terms[..., :4])
     s = _entropy(terms[..., 4:].reshape(p.shape[:-1] + (6, 2)))
+    del terms  # freed before _holevo's temporaries
     s_a, s_b = s[..., 0], s[..., 1]
     h = s[..., 2:].reshape(s.shape[:-1] + (2, 2))  # [..., observable q or r, outcome]
     post = h.sum(axis=-1)  # the post-measurement state is block diagonal: a sum of branches

@@ -77,6 +77,12 @@ def _defect(m: np.ndarray) -> float:
         return float(np.abs(m - m.swapaxes(-1, -2).conj()).max(initial=0.0))
 
 
+def _check_hermitian(m: np.ndarray) -> None:
+    # a NaN or inf entry makes the defect NaN or inf, so this also rejects it
+    if not (defect := _defect(m)) <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian or has non-finite entries (defect {defect:.3e})")
+
+
 def _eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
     """Ascending float64 eigenvalues of a (..., 2, 2) Hermitian stack, real or complex.
 
@@ -87,15 +93,16 @@ def _eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
     and overflow.
     """
     a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    # written into the result in place: two temporaries, not six, because
-    # the ledger's stacked spectra are taken at the sweep's memory peak
+    # in place in the result and one radius buffer (np.abs of one matrix's entry
+    # is a scalar: no out), as the ledger's block solve sets the sweep's memory peak
     evals = np.empty(m.shape[:-2] + (2,))
     low, high = evals[..., 0], evals[..., 1]  # views, 0-d arrays for one matrix
     np.add(a, d, out=high)
     high *= 0.5
     np.subtract(a, d, out=low)
     low *= 0.5
-    radius = np.hypot(low, np.abs(m[..., 1, 0]))
+    radius = np.abs(m[..., 1, 0], out=np.empty(m.shape[:-2]))
+    np.hypot(low, radius, out=radius)
     np.subtract(high, radius, out=low)
     high += radius
     return evals
@@ -112,10 +119,7 @@ def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    defect = _defect(m)
-    # a NaN or inf entry makes the defect NaN or inf, so this also rejects it
-    if not defect <= HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian or has non-finite entries (defect {defect:.3e})")
+    _check_hermitian(m)
     solve = _eigvalsh_2x2 if m.shape[-1] == 2 else np.linalg.eigvalsh
     return solve(m)[..., ::-1]
 

@@ -3,10 +3,10 @@
 A sweep evolves one of the two reference initial states through the memory
 decay channel on a uniform time grid for each qubit count N.  It is
 evaluated block by block: one amplitude call, one channel call and one
-ledger call per _LEDGER_ROWS grid times, so only one block's states and
-temporaries are alive at a time.  write_sweep renders each block to CSV,
-_RENDER_ROWS rows at a time, and writes it before the next block is
-computed; run_sweep instead collects the blocks into one stacked ledger
+ledger call per _LEDGER_ROWS grid times.  write_sweep renders each block
+to CSV, _RENDER_ROWS rows at a time, writes it and drops it before the
+next block's ledger call, so one ledger block is alive at a time;
+run_sweep instead copies the blocks into one stacked ledger
 per N, a BoundsRecord whose fields are arrays over the grid, and
 render_csv renders such a held sweep the same way.  Output is deterministic:
 the same configuration always produces byte-identical CSV.
@@ -54,8 +54,8 @@ CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_inf
 _RENDER_ROWS = 256
 _FIELDS = tuple(f.name for f in fields(BoundsRecord))
 _ROW_FORMAT = b",".join([b"%.12g"] * len(_FIELDS)) + b"\n"
-# Rows per channel call and ledger call in a sweep.  Each block's states and
-# ledger temporaries are freed before the next.  Measured on figs 2-5
+# Rows per channel call and ledger call in a sweep.  A block's ledger call,
+# on its states, sets a streamed sweep's peak: ~0.5 MB.  Measured on figs 2-5
 # (run_sweep alone, 30 interleaved rounds): 1024-row blocks ran 2% faster
 # than one call per N, and 256-row blocks 4% slower, from per-call overhead.
 _LEDGER_ROWS = 4 * _RENDER_ROWS
@@ -265,6 +265,7 @@ def run_sweep(config: SweepConfig) -> SweepOutput:
         for row, name in zip(columns[n], _FIELDS):
             row[block] = getattr(record, name)
         filled = block.stop
+        del record  # freed before the next ledger block is computed
     ledgers = {n: BoundsRecord(*rows) for n, rows in columns.items()}
     return SweepOutput(config=config, ledgers=ledgers)
 
@@ -287,6 +288,7 @@ def _csv_chunks(
             # + 0.0 writes -0.0 as 0
             block = np.column_stack([c[start : start + _RENDER_ROWS] for c in columns]) + 0.0
             yield row_format * len(block) % tuple(block.ravel().tolist())
+        ledger = columns = block = None  # freed before the next ledger block is computed
 
 
 def render_csv(output: SweepOutput) -> str:
@@ -301,8 +303,8 @@ def write_sweep(config: SweepConfig, destination) -> None:
     """Evaluate the sweep and write its CSV ('\\n' endings, 12 significant
     digits) to destination, a path or a binary file object, block by block.
 
-    Each ledger block is rendered and written before the next is computed,
-    so the working set is one block plus the time grid (8 B a row).  The
+    Each ledger block is rendered, written and dropped before the next is
+    computed: the working set is one block plus the time grid (8 B a row).  The
     config is validated, every N's reservoir built and the time grid
     computed before the first byte is written, so those refusals write
     nothing.  A path that cannot be opened or written raises OSError naming

@@ -8,6 +8,7 @@ import pytest
 
 import eulb.audit as audit_mod
 import eulb.bounds as bounds_mod
+import eulb.linalg as linalg_mod
 from conftest import (
     partial_trace,
     post_measurement_state,
@@ -311,6 +312,24 @@ class TestBoundsRecord:
         calls.clear()
         discrepancy_report(0.5)
         assert len(calls) == -(-101 // audit_mod._AUDIT_BLOCK)  # one per amplitude block
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 4)])
+    def test_converts_its_input_once(self, monkeypatch, shape):
+        # one conversion per argument: rho's 4x4 spectrum comes from LAPACK
+        # directly, not through the public eigenvalues_hermitian, which converts
+        calls = []
+        inexact = linalg_mod._inexact
+
+        def counting(value, name, real=False):
+            calls.append(name)
+            return inexact(value, name, real)
+
+        x, z = pauli_x(), pauli_z()
+        for module in (bounds_mod, linalg_mod):
+            monkeypatch.setattr(module, "_inexact", counting)
+        rho = np.broadcast_to(np.eye(4) / 4, shape)
+        assert np.allclose(bounds_record(rho, x, z).cond_entropy, 1.0)
+        assert calls == ["t", "amplitude", "rho"]
 
     @pytest.mark.parametrize(("name", "bad"), [("t", "2"), ("t", False), ("amplitude", True), ("amplitude", "1")])
     @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])

@@ -447,6 +447,21 @@ class TestWriteSweep:
         large = _traced_peak(lambda: write_sweep(ten, target))
         assert large - small < 16 * 8 * rows
 
+    def test_one_ledger_block_alive_at_a_time(self, tmp_path):
+        # Four full blocks.  Each block's ledger and render rows are dropped
+        # before the next ledger call, and that call solves rho's spectrum
+        # after its 2x2 blocks: ~490 B a block row above the time grid, against
+        # ~660 B when the previous block's ledger columns were still alive
+        # (numpy 2.4).
+        rows = sweep_mod._LEDGER_ROWS
+        cfg = SweepConfig(
+            state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,), steps=4 * rows
+        )
+        target = tmp_path / "out.csv"
+        write_sweep(dataclasses.replace(cfg, steps=3), target)
+        peak = _traced_peak(lambda: write_sweep(cfg, target))
+        assert (peak - 8 * cfg.steps) / rows < 575
+
 
 class TestOracleReport:
     def test_kernel_only(self):
