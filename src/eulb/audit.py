@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _ledger, pauli_x, pauli_z
-from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
+from .channel import _decay, bell_diagonal_initial, max_entangled_initial
 from .linalg import _is_real, _real_array, binary_entropy
 
 CONSISTENCY_TOL = 1e-9
@@ -49,16 +49,20 @@ def evolved_bell_diagonal_closed_form(p: float, c) -> np.ndarray:
     c = 1 (its corner coherences are doubled and its diagonal follows a
     different basis ordering), and it is not positive semidefinite for all
     parameters.  It exists solely as an audit target for discrepancy_report;
-    the sweep pipeline always evolves states through apply_memory_decay.
+    the sweep pipeline always evolves states through the decay channel.
     c is one amplitude or an array of them; the result gains c's axes and,
     its entries all real, is float64.
     """
     if not (_is_real(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p!r}")
-    p = float(p)
     c = _real_array(c, "c")
     if not np.all(np.abs(c) <= 1.0):  # written so that NaN fails too
         raise ValueError(f"amplitude {c} out of range [-1, 1]")
+    return _tabulated_bell(float(p), c)
+
+
+def _tabulated_bell(p: float, c: np.ndarray) -> np.ndarray:
+    # evolved_bell_diagonal_closed_form's core: p in [0, 1], c float64 in [-1, 1]
     c2 = c * c
     rho = np.zeros(c.shape + (4, 4))
     rho[..., 0, 0] = 0.25 * (1.0 + p) * c2
@@ -232,7 +236,7 @@ def _evolved(c: np.ndarray, p: float) -> np.ndarray:
     """Both families evolved to the amplitudes c in one channel call: shape
     (2,) + c.shape + (4, 4), the maximally entangled family first."""
     initials = np.stack([max_entangled_initial(), bell_diagonal_initial(p)])
-    return apply_memory_decay(initials.reshape((2,) + (1,) * c.ndim + (4, 4)), c)
+    return _decay(initials.reshape((2,) + (1,) * c.ndim + (4, 4)), c)
 
 
 def _definitions(evolved: np.ndarray) -> np.ndarray:
@@ -347,21 +351,19 @@ def discrepancy_report(p: float = 0.5) -> DiscrepancyReport:
     closed forms are evaluated once over the whole grid; the definition
     route and the matrix gap run in amplitude stacks of _AUDIT_BLOCK points.
     """
-    if not (_is_real(p) and 0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
+    # _evolved's initial states, built once, shape (2, 1, 4, 4): the one check of p
+    initials = np.stack([max_entangled_initial(), bell_diagonal_initial(p)])[:, None]
     p = float(p)
     grid = np.linspace(0.0, 1.0, 101)
     # One row per closed form, turned into |closed form - definition| block
     # by block, then the matrix row: the largest entrywise gap at each c.
     deviation = np.concatenate([_closed_forms(grid), np.empty((1, grid.size))])
     entry = np.empty(grid.size, dtype=int)  # the flat 4x4 index of that gap
-    # _evolved's initial states, built once for every block: shape (2, 1, 4, 4)
-    initials = np.stack([max_entangled_initial(), bell_diagonal_initial(p)])[:, None]
     for start in range(0, grid.size, _AUDIT_BLOCK):
         rows = slice(start, start + _AUDIT_BLOCK)
-        evolved = apply_memory_decay(initials, grid[rows])
+        evolved = _decay(initials, grid[rows])
         deviation[:-1, rows] = np.abs(deviation[:-1, rows] - _definitions(evolved))
-        gap = np.abs(evolved_bell_diagonal_closed_form(p, grid[rows]) - evolved[1])
+        gap = np.abs(_tabulated_bell(p, grid[rows]) - evolved[1])
         entry[rows] = np.argmax(gap.reshape(-1, 16), axis=1)
         deviation[-1, rows] = np.max(gap, axis=(1, 2))
     # argmax takes the first maximum, so every worst c is the first on the

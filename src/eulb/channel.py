@@ -39,7 +39,11 @@ def apply_memory_decay(rho: np.ndarray, c) -> np.ndarray:
     rho = _inexact(rho, "rho")
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    c = _real_array(c, "channel amplitude")
+    return _decay(rho, _real_array(c, "channel amplitude"))
+
+
+def _decay(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # apply_memory_decay's core: the one site of the amplitude checks and clamp
     if not np.all(np.isfinite(c)):
         raise ValueError("channel amplitude must be finite")
     if np.any(np.abs(c) > 1.0 + _AMPLITUDE_SLACK):

@@ -161,4 +161,4 @@ def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):  # NaN fails both comparisons
         raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
     x = np.clip(x, 0.0, 1.0)
-    return entropy_from_eigenvalues(np.stack([x, 1.0 - x], axis=-1))
+    return _entropy(_plogp(np.stack([x, 1.0 - x], axis=-1)))  # a fresh float64 spectrum

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _is_int, _is_real, _real_array
+from .linalg import _inexact, _is_int, _is_real, _real_array
 
 # Kernel-ODE propagator: a truncated Taylor series of exp(A h) per step of
 # h <= _TAYLOR_THETA / ||A|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
@@ -110,12 +110,21 @@ class ModeGrid:
     """Equal-weight discretization of the reservoir over a symmetric frequency window.
 
     Frequencies are offsets from the qubit transition frequency; couplings
-    are real, and every mode carries the same weight of J (see
-    build_mode_grid).
+    are real.  Both are finite 1-D arrays of one non-zero length, and every
+    mode carries the same weight of J (see build_mode_grid).
     """
 
     frequencies: np.ndarray
     couplings: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("frequencies", "couplings"):  # frozen: set the converted arrays
+            object.__setattr__(self, name, _inexact(getattr(self, name), name, real=True))
+        f, g = self.frequencies, self.couplings
+        if not (f.ndim == g.ndim == 1 and 0 < f.size == g.size):
+            raise ValueError(f"need 1-D frequencies and couplings of one length > 0, got {f.shape}, {g.shape}")
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            raise ValueError("mode frequencies and couplings must be finite")
 
     @property
     def n_modes(self) -> int:
@@ -136,6 +145,12 @@ def decay_amplitude(params: ReservoirParams, t):
     t_arr = _real_array(t, "t")
     if not np.all(np.isfinite(t_arr) & (t_arr >= 0)):
         raise ValueError("decay_amplitude requires finite t >= 0")
+    c = _amplitude(params, t_arr)
+    return float(c) if c.ndim == 0 else c
+
+
+def _amplitude(params: ReservoirParams, t_arr: np.ndarray) -> np.ndarray:
+    # decay_amplitude's core: t_arr is float64, finite and >= 0
     n = params.n_qubits
     lam = params.lambda_
     # the subtraction lam - 2 N gamma0 is exact near the critical coupling;
@@ -143,10 +158,7 @@ def decay_amplitude(params: ReservoirParams, t):
     d = cmath.sqrt(lam * (lam - 2 * n * params.gamma0))
     kappa = n * params.gamma0 * lam / (lam + d)
     g = t_arr if d == 0 else -np.expm1(-d * t_arr) / d
-    c = ((n - 1) + (np.exp(-kappa * t_arr) * (1 + kappa * g)).real) / n
-    if c.ndim == 0:
-        return float(c)
-    return c
+    return ((n - 1) + (np.exp(-kappa * t_arr) * (1 + kappa * g)).real) / n
 
 
 def _validate_grid(t_grid: np.ndarray) -> np.ndarray:

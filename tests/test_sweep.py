@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -212,6 +213,13 @@ class TestFigurePresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
             figure_preset(1)
+
+    @pytest.mark.parametrize("label", [2.0, np.float64(3), True, 1.0], ids=repr)
+    def test_labels_are_integers(self, label):
+        # 2.0 == 2 found a preset, although labels follow the package's integer rule
+        with pytest.raises(ValueError, match=rf"^no preset {re.escape(repr(label))}; choose one of"):
+            figure_preset(label)
+        assert figure_preset(np.int64(4)) == figure_preset(4)
 
 
 class TestRunSweep:
