@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_hermitian, _eigvalsh_2x2, _entropy, _inexact, _plogp, _real_array
+from .linalg import _check_hermitian, _eigvalsh_2x2, _entropy, _inexact, _plogp
 from .linalg import eigenvalues_hermitian  # noqa: F401  # re-exported: eulb.bounds.eigenvalues_hermitian
 
 ZERO_PROBABILITY_TOL = 1e-12
@@ -101,14 +101,12 @@ def _holevo(s_b: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundsRecord:
-    """Full information ledger for one time point of a sweep (all values in bits).
+    """Full information ledger of one state (all values in bits).
 
     bounds_record on a (..., 4, 4) stack returns one record whose fields are
-    arrays over the stack axes.
+    arrays over the stack axes.  A sweep keeps its times and C(t) beside it.
     """
 
-    t: float
-    amplitude: float
     u_left: float
     berta: float
     adabi: float
@@ -119,32 +117,22 @@ class BoundsRecord:
     cond_entropy: float
 
 
-def bounds_record(
-    rho: np.ndarray,
-    q: Observable,
-    r: Observable,
-    t: float = 0.0,
-    amplitude: float = 1.0,
-) -> BoundsRecord:
+def bounds_record(rho: np.ndarray, q: Observable, r: Observable) -> BoundsRecord:
     """Compute every BoundsRecord field, sharing the spectral decompositions.
 
-    rho is one 4x4 state or a (..., 4, 4) stack; t and amplitude are real
-    numbers or arrays (a bool or a string raises ValueError) and broadcast
-    against the stack axes.  The dtypes alone set the arithmetic: complex
-    when rho or a ket of q or r has a complex dtype, else real, whatever
-    the values.  So every member of a stack runs as its own call would in
-    that dtype, and a complex-dtype state with zero imaginary part takes
-    the complex route.  A NaN or inf entry raises ValueError.
+    rho is one 4x4 state or a (..., 4, 4) stack.  The dtypes alone set the
+    arithmetic: complex when rho or a ket of q or r has a complex dtype,
+    else real, whatever the values.  So every member of a stack runs as its
+    own call would in that dtype, and a complex-dtype state with zero
+    imaginary part takes the complex route.  A NaN or inf entry raises
+    ValueError.
     """
-    return _ledger(rho, q, r, t, amplitude)[0]
+    return _ledger(rho, q, r)[0]
 
 
-def _ledger(
-    rho: np.ndarray, q: Observable, r: Observable, t: float = 0.0, amplitude: float = 1.0
-) -> tuple[BoundsRecord, np.ndarray]:
+def _ledger(rho: np.ndarray, q: Observable, r: Observable) -> tuple[BoundsRecord, np.ndarray]:
     """bounds_record's record, and the post-measurement entropies S(rho_QB)
     and S(rho_RB) over the stack axes, shape (..., 2)."""
-    stamps = [_real_array(value, name) for name, value in (("t", t), ("amplitude", amplitude))]
     rho = _inexact(rho, "rho")
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"bounds_record expects a 4x4 state or a stack of them, got {rho.shape}")
@@ -174,16 +162,6 @@ def _ledger(
     adabi = berta + np.maximum(0.0, delta)
     values = (u_left, berta, adabi, delta, hol[..., 0], hol[..., 1], mi, ce)
     if rho.ndim == 2:
-        for name, stamp in zip(("t", "amplitude"), stamps):
-            if stamp.ndim:
-                raise ValueError(f"{name} must be a scalar for one state, got shape {stamp.shape}")
-        # float() of a Python float returns the object itself, so a single
-        # record of default t and amplitude allocates no new float
-        return BoundsRecord(*map(float, (t, amplitude) + values)), post
-    # The eight computed fields already have the stack shape; only t and
-    # amplitude are broadcast to it.  broadcast_arrays of all ten values
-    # allocates ~27.5 kB per call, and broadcast_to costs ~3.3 us a field
-    # (numpy 2.4).
-    shape = u_left.shape
-    t, amplitude = (np.broadcast_to(v, shape) for v in stamps)
-    return BoundsRecord(t, amplitude, *values), post
+        # a list: star-unpacking a map left argument tuples on the free list
+        return BoundsRecord(*[float(v) for v in values]), post
+    return BoundsRecord(*values), post

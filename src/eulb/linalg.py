@@ -21,6 +21,8 @@ This base module also owns the package's one rule for numeric input
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -38,6 +40,13 @@ def _is_real(value) -> bool:
     # a Python or numpy real number; bool and np.bool_ are flags, and strings
     # or None must fail as input errors before any arithmetic sees them
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_positive_finite(value) -> bool:
+    try:  # math.isfinite of an int beyond the float range raises OverflowError
+        return _is_real(value) and math.isfinite(value) and value > 0
+    except OverflowError:
+        return False
 
 
 def _inexact(value, name: str, real: bool = False) -> np.ndarray:

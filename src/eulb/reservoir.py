@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _inexact, _is_int, _is_real, _real_array
+from .linalg import _inexact, _is_int, _is_positive_finite, _real_array
 
 # Kernel-ODE propagator: a truncated Taylor series of exp(A h) per step of
 # h <= _TAYLOR_THETA / ||A|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
@@ -76,9 +76,9 @@ class ReservoirParams:
     n_qubits: int
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.gamma0) and math.isfinite(self.gamma0) and self.gamma0 > 0):
+        if not _is_positive_finite(self.gamma0):
             raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0!r}")
-        if not (_is_real(self.lambda_) and math.isfinite(self.lambda_) and self.lambda_ > 0):
+        if not _is_positive_finite(self.lambda_):
             raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_!r}")
         # up to 2^53 a float holds N exactly; far beyond it the dynamics'
         # int-to-float conversions overflow (N = 10^308: OverflowError)
@@ -400,6 +400,9 @@ def discrete_mode_oracle(
     f_min, f_max = float(freqs.min()), float(freqs.max())
     centre = 0.5 * (f_min + f_max)
     half_width = 0.5 * (f_max - f_min) + float(np.linalg.norm(coupling))
+    # a hand-built grid of coincident, uncoupled modes has no width (cf. build_mode_grid)
+    if not (half_width > 0 and math.isfinite(2.0 / half_width)):
+        raise ValueError(f"mode grid underflows: spectral half-width {half_width!r}")
     phase = half_width * float(grid[-1])
     if not phase <= _MAX_PHASE:
         raise ValueError(

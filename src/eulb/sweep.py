@@ -6,10 +6,11 @@ evaluated block by block: one amplitude call, one channel call and one
 ledger call per _LEDGER_ROWS grid times.  write_sweep renders each block
 to CSV, _RENDER_ROWS rows at a time, writes it and drops it before the
 next block's ledger call, so one ledger block is alive at a time;
-run_sweep instead copies the blocks into one stacked ledger
-per N, a BoundsRecord whose fields are arrays over the grid, and
-render_csv renders such a held sweep the same way.  Output is deterministic:
-the same configuration always produces byte-identical CSV.
+run_sweep instead holds the time grid and copies the blocks into one C(t)
+column and one stacked ledger per N, a BoundsRecord whose fields are arrays
+over the grid, and render_csv renders such a held sweep the same way.
+Output is deterministic: the same configuration always produces
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .audit import Deviation
 from .bounds import BoundsRecord, bounds_record, pauli_x, pauli_z
 from .channel import _decay, bell_diagonal_initial, max_entangled_initial
 from .channel import apply_memory_decay  # noqa: F401  # the bench traces eulb.sweep.apply_memory_decay
-from .linalg import _is_int, _is_real
+from .linalg import _is_int, _is_positive_finite, _is_real
 from .reservoir import (
     ReservoirParams,
     _amplitude,
@@ -41,9 +42,9 @@ DISCRETE_ORACLE_TOL = 5e-3
 _STATES = ("max_entangled", "bell_diagonal")
 
 # eulb sweep (write_sweep) holds one ledger block and the time grid (8 B a
-# row); run_sweep holds ten float64 columns per N (80 B a row) for Python
-# callers.  So the cap bounds the CLI's run time (~3-4 s) and file size
-# (~75 MB at 500k rows) and run_sweep's columns (40 MB), not the CLI's
+# row); run_sweep holds the grid and nine float64 columns per N (72 B a row)
+# for Python callers.  So the cap bounds the CLI's run time (~3-4 s), file
+# size (~75 MB at 500k rows) and run_sweep's columns (40 MB), not the CLI's
 # working set: one N of 500k rows measured 35-39 MB max RSS for the whole
 # `eulb sweep` process, of which `import numpy, eulb` is 29 MB.
 _MAX_SWEEP_ROWS = 500_000
@@ -55,7 +56,7 @@ CSV_HEADER = "n,gamma0_t,C,u_left,berta,adabi,delta,holevo_x,holevo_z,mutual_inf
 # of rendering fig 2 is 1.36x the CSV's size (2.05x with one block per N).
 _RENDER_ROWS = 256
 _FIELDS = tuple(f.name for f in fields(BoundsRecord))
-_ROW_FORMAT = b",".join([b"%.12g"] * len(_FIELDS)) + b"\n"
+_ROW_FORMAT = b",".join([b"%.12g"] * (2 + len(_FIELDS))) + b"\n"  # t, C, then the ledger
 # Rows per channel call and ledger call in a sweep.  A block's ledger call,
 # on its states, sets a streamed sweep's peak: ~0.5 MB.  Measured on figs 2-5
 # (run_sweep alone, 30 interleaved rounds): 1024-row blocks ran 2% faster
@@ -94,7 +95,7 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     if config.state not in _STATES:
         raise ConfigError(f"state must be one of {_STATES}, got {config.state!r}")
     lam = config.lambda_over_gamma0
-    if not (_is_real(lam) and math.isfinite(lam) and lam > 0):
+    if not _is_positive_finite(lam):
         raise ConfigError(f"lambda_over_gamma0 must be positive and finite, got {lam!r}")
     if not (_is_real(config.p) and 0.0 <= config.p <= 1.0):
         raise ConfigError(f"p must be in [0, 1], got {config.p!r}")
@@ -104,7 +105,7 @@ def validate_config(config: SweepConfig) -> SweepConfig:
     if len(set(ns)) != len(ns):
         raise ConfigError(f"n_qubits_list must not contain duplicates, got {ns!r}")
     t_max = config.t_max_gamma0
-    if not (_is_real(t_max) and math.isfinite(t_max) and t_max > 0):
+    if not _is_positive_finite(t_max):
         raise ConfigError(f"t_max_gamma0 must be positive and finite, got {t_max!r}")
     if not _is_int(config.steps) or config.steps < 2:
         raise ConfigError(f"steps must be an integer >= 2, got {config.steps!r}")
@@ -199,15 +200,18 @@ def format_config(config: SweepConfig) -> str:
 
 @dataclass
 class SweepOutput:
-    """A sweep's configuration and its ledger, one stacked record per N.
+    """A sweep's configuration, time grid, and per-N C(t) and ledger.
 
-    ledgers maps each qubit count, in ascending order, to the BoundsRecord
-    of the whole time grid, bit for bit what bounds_record returns for the
-    grid's stack: every field is an array of config.steps values, one per
-    grid time.
+    times is the grid of config.steps gamma0*t values.  amplitudes and
+    ledgers map each qubit count, in ascending order, to C(t) on that grid
+    and to the BoundsRecord of the grid's states, bit for bit what
+    bounds_record returns for the whole stack: every field is an array of
+    config.steps values, one per grid time.
     """
 
     config: SweepConfig
+    times: np.ndarray
+    amplitudes: dict[int, np.ndarray]
     ledgers: dict[int, BoundsRecord]
 
 
@@ -236,11 +240,11 @@ def _reservoirs(config: SweepConfig) -> list[tuple[int, ReservoirParams]]:
 
 def _ledger_blocks(
     config: SweepConfig, reservoirs: list[tuple[int, ReservoirParams]], times: np.ndarray
-) -> Iterator[tuple[int, BoundsRecord]]:
-    """(n, ledger) for each block of _LEDGER_ROWS grid times of each N, in
-    CSV order: one amplitude call, one channel call and one ledger call a
-    block.  C(t) is elementwise, so each block is bit for bit the matching
-    rows of the whole grid's ledger."""
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, BoundsRecord]]:
+    """(n, t, C(t), ledger) for each block t of _LEDGER_ROWS grid times of
+    each N, in CSV order: one amplitude call, one channel call and one
+    ledger call a block.  C(t) is elementwise, so each block is bit for bit
+    the matching rows of the whole grid's C(t) and ledger."""
     x, z = pauli_x(), pauli_z()
     initial = _initial_state(config)
     for n, params in reservoirs:
@@ -248,55 +252,58 @@ def _ledger_blocks(
             t = times[start : start + _LEDGER_ROWS]
             amplitudes = _amplitude(params, t)  # the cores: times and initial are this sweep's own
             states = _decay(initial, amplitudes)
-            yield n, bounds_record(states, x, z, t=t, amplitude=amplitudes)
+            yield n, t, amplitudes, bounds_record(states, x, z)
 
 
 def run_sweep(config: SweepConfig) -> SweepOutput:
     """Evaluate the bounds ledger over the configured (N, t) grid and hold it.
 
-    Each N's ledger is ten float64 columns (80 B a row), filled from the
-    ledger blocks; the CLI streams through write_sweep instead.
+    Each N's C(t) and ledger are nine float64 columns (72 B a row), filled
+    from the ledger blocks; the CLI streams through write_sweep instead.
     """
     reservoirs = _reservoirs(config)
+    times = _time_grid(config)
     columns: dict[int, np.ndarray] = {}
-    for n, record in _ledger_blocks(config, reservoirs, _time_grid(config)):
+    for n, t, c, record in _ledger_blocks(config, reservoirs, times):
         if n not in columns:
-            columns[n] = np.empty((len(_FIELDS), config.steps))  # the BoundsRecord fields in order
+            columns[n] = np.empty((1 + len(_FIELDS), config.steps))  # C, then the BoundsRecord fields
             filled = 0
-        block = slice(filled, filled + len(record.t))
-        for row, name in zip(columns[n], _FIELDS):
-            row[block] = getattr(record, name)
+        block = slice(filled, filled + len(t))
+        for row, value in zip(columns[n], [c] + [getattr(record, name) for name in _FIELDS]):
+            row[block] = value
         filled = block.stop
-        del record  # freed before the next ledger block is computed
-    ledgers = {n: BoundsRecord(*rows) for n, rows in columns.items()}
-    return SweepOutput(config=config, ledgers=ledgers)
+        del c, record  # freed before the next ledger block is computed
+    amplitudes = {n: rows[0] for n, rows in columns.items()}
+    ledgers = {n: BoundsRecord(*rows[1:]) for n, rows in columns.items()}
+    return SweepOutput(config, times, amplitudes, ledgers)
 
 
 def _csv_chunks(
-    config: SweepConfig, ledgers: Iterable[tuple[int, BoundsRecord]]
+    config: SweepConfig, ledgers: Iterable[tuple[int, np.ndarray, np.ndarray, BoundsRecord]]
 ) -> Iterator[bytes]:
-    """The CSV as ASCII chunks: the metadata and header, then each (n, ledger)
-    in the order given, one bytes % per _RENDER_ROWS rows."""
+    """The CSV as ASCII chunks: the metadata and header, then the rows of each
+    (n, t, C(t), ledger) in the order given, one bytes % per _RENDER_ROWS rows."""
     from . import __version__
 
     head = [f"# eulb {__version__}"]
     head += ["# " + line for line in format_config(config).splitlines()]
     head.append(CSV_HEADER)
     yield "\n".join(head).encode("ascii") + b"\n"
-    for n, ledger in ledgers:
-        columns = [getattr(ledger, name) for name in _FIELDS]
+    for n, t, amplitudes, ledger in ledgers:
+        columns = [t, amplitudes] + [getattr(ledger, name) for name in _FIELDS]
         row_format = f"{n},".encode("ascii") + _ROW_FORMAT
-        for start in range(0, len(ledger.t), _RENDER_ROWS):
+        for start in range(0, len(t), _RENDER_ROWS):
             # + 0.0 writes -0.0 as 0
             block = np.column_stack([c[start : start + _RENDER_ROWS] for c in columns]) + 0.0
             yield row_format * len(block) % tuple(block.ravel().tolist())
-        ledger = columns = block = None  # freed before the next ledger block is computed
+        amplitudes = ledger = columns = block = None  # freed before the next ledger block is computed
 
 
 def render_csv(output: SweepOutput) -> str:
     """A held sweep's CSV: the text write_sweep writes for output.config."""
     data = bytearray()
-    for chunk in _csv_chunks(output.config, output.ledgers.items()):
+    ledgers = ((n, output.times, output.amplitudes[n], ledger) for n, ledger in output.ledgers.items())
+    for chunk in _csv_chunks(output.config, ledgers):
         data += chunk
     return data.decode("ascii")
 

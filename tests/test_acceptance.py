@@ -135,8 +135,8 @@ def test_criterion_04_bell_diagonal_start_values():
 
 def test_criterion_05_markovian_saturation(preset_sweeps):
     failures = []
-    ledger = preset_sweeps[3].ledgers[1]
-    t, adabi, amplitude = ledger.t[-1], ledger.adabi[-1], ledger.amplitude[-1]
+    output = preset_sweeps[3]
+    t, adabi, amplitude = output.times[-1], output.ledgers[1].adabi[-1], output.amplitudes[1][-1]
     if t != 20.0:
         failures.append(f"last grid point is {t}, expected 20")
     if abs(adabi - 2.0) > 1e-3:
@@ -247,8 +247,9 @@ def test_criterion_12_paper_claim_ordering_in_n(preset_sweeps):
     for fig, output in preset_sweeps.items():
         columns = {
             name: np.array([getattr(ledger, name) for ledger in output.ledgers.values()])
-            for name in ("u_left", "adabi", "berta", "amplitude")
+            for name in ("u_left", "adabi", "berta")
         }
+        columns["amplitude"] = np.array(list(output.amplitudes.values()))
         if fig in (3, 5):
             for name in ("u_left", "adabi", "berta"):
                 rises = int(np.sum(np.diff(columns[name], axis=0) > 0.0))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,31 +233,12 @@ class TestBoundsRecord:
             assert 0.5 - 1e-12 <= complementarity(q, r) <= 1.0 + 1e-12
             ranks = (1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4)
             stack = np.array([random_density_matrix(rng, 4, rank) for rank in ranks])
-            times = np.linspace(0.0, 2.0, len(stack))
-            batch = bounds_record(stack, q, r, t=times, amplitude=-times)
+            batch = bounds_record(stack, q, r)
             for i, rho in enumerate(stack):
-                single = bounds_record(rho, q, r, t=times[i], amplitude=-times[i])
+                single = bounds_record(rho, q, r)
                 for name in (f.name for f in dataclasses.fields(BoundsRecord)):
                     assert getattr(batch, name).shape == (len(stack),)
                     assert abs(getattr(batch, name)[i] - getattr(single, name)) <= 1e-12, name
-
-    def test_stack_with_scalar_time_and_amplitude(self, rng):
-        stack = np.array([[random_density_matrix(rng, 4) for _ in range(2)] for _ in range(3)])
-        rec = bounds_record(stack, pauli_x(), pauli_z(), t=0.25, amplitude=0.5)
-        for name in (f.name for f in dataclasses.fields(BoundsRecord)):
-            assert getattr(rec, name).shape == (3, 2), name
-        assert np.all(rec.t == 0.25) and np.all(rec.amplitude == 0.5)
-        single = bounds_record(stack[0, 0], pauli_x(), pauli_z(), t=1.5, amplitude=0.7)
-        assert single.t == 1.5 and single.amplitude == 0.7
-
-    @pytest.mark.parametrize(
-        ("name", "stamp"),
-        [("t", np.array([0.0, 1.0])), ("t", [0.0, 1.0]), ("amplitude", np.array([0.5]))],
-    )
-    def test_single_state_rejects_array_stamp(self, name, stamp):
-        # float() of these used to raise TypeError instead of the input rule's ValueError
-        with pytest.raises(ValueError, match=f"^{name} must be a scalar for one state"):
-            bounds_record(max_entangled_initial(), pauli_x(), pauli_z(), **{name: stamp})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_state(self, bad):
@@ -329,15 +311,28 @@ class TestBoundsRecord:
             monkeypatch.setattr(module, "_inexact", counting)
         rho = np.broadcast_to(np.eye(4) / 4, shape)
         assert np.allclose(bounds_record(rho, x, z).cond_entropy, 1.0)
-        assert calls == ["t", "amplitude", "rho"]
+        assert calls == ["rho"]
 
-    @pytest.mark.parametrize(("name", "bad"), [("t", "2"), ("t", False), ("amplitude", True), ("amplitude", "1")])
-    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
-    def test_rejects_non_real_time_and_amplitude(self, name, bad, shape):
-        # t="2" used to be recorded as 2.0, and amplitude=True as 1.0
-        rho = np.broadcast_to(np.eye(4) / 4, shape)
-        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
-            bounds_record(rho, pauli_x(), pauli_z(), **{name: bad})
+    def test_single_state_records_hold_eight_floats(self, rng):
+        # 100 one-state records hold what 100 records of eight fresh floats
+        # do.  BoundsRecord(*map(float, values)) held ~100 B a record more,
+        # in argument tuples left on CPython's free list, and raised the
+        # bench's single-state peak by 15%.
+        def held(make) -> int:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                records = [make() for _ in range(100)]  # noqa: F841  # alive when measured
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        x, z = pauli_x(), pauli_z()
+        for rho in (random_density_matrix(rng, 4), max_entangled_initial()):  # complex, real
+            fresh = lambda: BoundsRecord(*[k + 0.5 for k in range(8)])  # noqa: E731
+            single = lambda: bounds_record(rho, x, z)  # noqa: E731
+            held(fresh), held(single)  # warm up
+            assert held(single) <= held(fresh) + 2000
 
 
 def _preset_stack(fig: int, n: int) -> np.ndarray:

@@ -16,12 +16,13 @@ The figure presets' CSVs are pinned byte for byte by the SHA-256 of
 everything from the header line on; the '#' metadata lines above it carry
 the package version, so a version bump does not move the pins.
 
-tests/golden/ledger.csv holds every BoundsRecord field, written with repr,
-for the four figure presets at 51 time points plus fig 4 with the other
-memory level decaying.  The file was written by the per-state (Jacobi)
-engine; any later engine must reproduce every column within GOLDEN_ATOL.
-The rendered 12-digit CSV cannot carry this gate: its last digit flips
-under roundoff-level changes.  The presets run through run_sweep.  The
+tests/golden/ledger.csv holds t, C(t) and every BoundsRecord field,
+written with repr, for the four figure presets at 51 time points plus
+fig 4 with the other memory level decaying.  The file was written by the
+per-state (Jacobi) engine; any later engine must reproduce every column
+within GOLDEN_ATOL.  The rendered 12-digit CSV cannot carry this gate:
+its last digit flips under roundoff-level changes.  The presets run
+through run_sweep, whose times and C(t) are its own columns.  The
 channel always decays memory level 0, so fig4_excited1 is built by X_B
 conjugation, since decay from level 1 is X_B AD(X_B rho X_B) X_B:
 decay_amplitude on the grid, apply_memory_decay on the flipped state,
@@ -63,8 +64,8 @@ GENERAL_REFERENCE = Path(__file__).with_name("golden") / "ledger_general_mpmath.
 B_PHASE = np.kron(np.eye(2), np.diag([1.0, np.exp(2j)]))
 FLIP_B = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
 STEPS = 51
-FIELDS = [f.name for f in dataclasses.fields(BoundsRecord)]
-MPMATH_FIELDS = FIELDS[2:]  # the ledger, without t and amplitude
+LEDGER_FIELDS = [f.name for f in dataclasses.fields(BoundsRecord)]
+FIELDS = ["t", "amplitude", *LEDGER_FIELDS]  # the golden ledger's columns
 CASES = {  # case: (figure preset, decaying memory level)
     "fig2": (2, 0),
     "fig3": (3, 0),
@@ -74,21 +75,26 @@ CASES = {  # case: (figure preset, decaying memory level)
 }
 
 
-def case_ledgers(case: str) -> dict[int, BoundsRecord]:
-    """The case's ledger on the STEPS-point grid, one record per N in
+def case_columns(case: str) -> dict[int, dict[str, np.ndarray]]:
+    """The case's FIELDS columns on the STEPS-point grid, for each N in
     ascending order."""
     fig, excited = CASES[case]
     config = dataclasses.replace(figure_preset(fig), steps=STEPS)
     if not excited:
-        return run_sweep(config).ledgers
-    times = np.linspace(0.0, config.t_max_gamma0, config.steps)
-    ledgers = {}
-    flipped = FLIP_B @ bell_diagonal_initial(config.p) @ FLIP_B
-    for n in sorted(config.n_qubits_list):
-        c = decay_amplitude(ReservoirParams(1.0, config.lambda_over_gamma0, n), times)
-        states = FLIP_B @ apply_memory_decay(flipped, c) @ FLIP_B
-        ledgers[n] = bounds_record(states, pauli_x(), pauli_z(), t=times, amplitude=c)
-    return ledgers
+        out = run_sweep(config)
+        times, amplitudes, ledgers = out.times, out.amplitudes, out.ledgers
+    else:
+        times = np.linspace(0.0, config.t_max_gamma0, config.steps)
+        amplitudes, ledgers = {}, {}
+        flipped = FLIP_B @ bell_diagonal_initial(config.p) @ FLIP_B
+        for n in sorted(config.n_qubits_list):
+            c = amplitudes[n] = decay_amplitude(ReservoirParams(1.0, config.lambda_over_gamma0, n), times)
+            states = FLIP_B @ apply_memory_decay(flipped, c) @ FLIP_B
+            ledgers[n] = bounds_record(states, pauli_x(), pauli_z())
+    return {
+        n: {"t": times, "amplitude": amplitudes[n], **dataclasses.asdict(ledger)}
+        for n, ledger in ledgers.items()
+    }
 
 
 def load_golden() -> dict[str, list[tuple[int, list[float]]]]:
@@ -109,12 +115,12 @@ def golden():
 @pytest.mark.parametrize("case", list(CASES))
 def test_ledger_matches_golden(golden, case):
     expected = golden[case]
-    ledgers = case_ledgers(case)
-    assert [n for n, ledger in ledgers.items() for _ in ledger.t] == [n for n, _ in expected]
+    columns = case_columns(case)
+    assert [n for n, column in columns.items() for _ in column["t"]] == [n for n, _ in expected]
     want = np.array([values for _, values in expected])
     worst = {}
     for name, w in zip(FIELDS, want.T):
-        got = np.concatenate([getattr(ledger, name) for ledger in ledgers.values()])
+        got = np.concatenate([column[name] for column in columns.values()])
         worst[name] = float(np.max(np.abs(got - w)))
     bad = {name: dev for name, dev in worst.items() if not dev <= GOLDEN_ATOL}
     assert not bad, f"{case}: columns off the golden ledger: {bad}"
@@ -125,7 +131,7 @@ def load_mpmath_reference() -> dict[tuple[str, str], list[tuple[float, list[floa
     out: dict[tuple[str, str], list[tuple[float, list[float]]]] = defaultdict(list)
     with MPMATH_REFERENCE.open(encoding="ascii") as fh:
         for row in csv.DictReader(line for line in fh if not line.startswith("#")):
-            values = [float(row[name]) for name in MPMATH_FIELDS]
+            values = [float(row[name]) for name in LEDGER_FIELDS]
             out[(row["state"], row["p"])].append((float(row["c"]), values))
     return out
 
@@ -158,7 +164,7 @@ def mpmath_deviations(case, unitary_on_b=None) -> dict[str, float]:
     want = np.array([values for _, values in rows])
     return {
         name: float(np.max(np.abs(getattr(ledger, name) - w)))
-        for name, w in zip(MPMATH_FIELDS, want.T)
+        for name, w in zip(LEDGER_FIELDS, want.T)
     }
 
 
@@ -192,7 +198,7 @@ def test_general_ledger_matches_mpmath(rank):
             if row["case"].startswith(f"rank{rank}_")
         ]
     assert len(rows) == 15
-    worst = dict.fromkeys(MPMATH_FIELDS, 0.0)
+    worst = dict.fromkeys(LEDGER_FIELDS, 0.0)
     for row in rows:
         rho = (_floats(row["rho_re"]) + 1j * _floats(row["rho_im"])).reshape(4, 4)
         kets = {key: _floats(row[key + "_re"]) + 1j * _floats(row[key + "_im"]) for key in "qr"}
@@ -200,7 +206,7 @@ def test_general_ledger_matches_mpmath(rank):
         assert np.linalg.matrix_rank(rho, tol=1e-15) == rank
         assert 0.5 - 1e-15 <= complementarity(q, r) < 1.0
         ledger = bounds_record(rho, q, r)
-        for name in MPMATH_FIELDS:
+        for name in LEDGER_FIELDS:
             worst[name] = max(worst[name], abs(getattr(ledger, name) - float(row[name])))
     bad = {name: dev for name, dev in worst.items() if not dev <= MPMATH_COMPLEX_ATOL}
     assert not bad, f"rank {rank}: columns off the 40-digit general ledger: {bad}"

@@ -86,7 +86,6 @@ def test_readme_python_examples_run(capsys):
 
 _PARAMS = eulb.ReservoirParams(1.0, 1.0, 2)
 _X, _Z = eulb.pauli_x(), eulb.pauli_z()
-_PAIR = np.stack([eulb.max_entangled_initial()] * 2)
 
 # Every public numeric argument: its entry point, the name its error gives,
 # a call that puts a value in its place and returns arrays, and a valid
@@ -117,13 +116,6 @@ NUMERIC_ARGUMENTS = [
         "rho",
         lambda v: dataclasses.astuple(eulb.bounds_record(v, _X, _Z)),
         [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-    ),
-    ("bounds_record", "t", lambda v: dataclasses.astuple(eulb.bounds_record(_PAIR, _X, _Z, t=v)), [0, 3]),
-    (
-        "bounds_record",
-        "amplitude",
-        lambda v: dataclasses.astuple(eulb.bounds_record(_PAIR, _X, _Z, amplitude=v)),
-        [1, 0],
     ),
     ("Observable", "kets", lambda v: eulb.Observable("q", v).kets, [[0, 1], [1, 0]]),
     (
@@ -259,22 +251,22 @@ def conversions(monkeypatch) -> Counter:
     return names
 
 
-def test_sweep_converts_three_arguments_a_block(conversions):
-    # the ledger's t, amplitude and rho a block, and the two observables' kets
+def test_sweep_converts_one_argument_a_block(conversions):
+    # the ledger's rho a block, and the two observables' kets
     config = eulb.figure_preset(2)
     eulb.write_sweep(config, io.BytesIO())
     blocks = len(config.n_qubits_list) * -(-config.steps // sweep_mod._LEDGER_ROWS)
     assert blocks == 8
-    assert conversions == Counter(t=blocks, amplitude=blocks, rho=blocks, kets=2)
+    assert conversions == Counter(rho=blocks, kets=2)
 
 
 def test_audit_converts_each_block_once(conversions):
-    # the ledger's three arguments a block, and x once per binary_entropy
+    # the ledger's rho a block, and x once per binary_entropy
     # call of the ten closed forms over the whole grid
     eulb.discrepancy_report(0.5)
     blocks = -(-101 // audit_mod._AUDIT_BLOCK)
     assert blocks == 7
-    assert conversions == Counter(x=11, t=blocks, amplitude=blocks, rho=blocks)
+    assert conversions == Counter(x=11, rho=blocks)
 
 
 def test_binary_entropy_converts_once(conversions):

@@ -222,9 +222,10 @@ def test_sweep_rows_keep_the_bounds_chain(lam, ns, t_max, p, state):
         t_max_gamma0=t_max,
         steps=9,
     )
-    for rec in run_sweep(config).ledgers.values():
+    output = run_sweep(config)
+    for n, rec in output.ledgers.items():
         assert all(np.isfinite(getattr(rec, f.name)).all() for f in fields(BoundsRecord))
-        assert np.all(np.abs(rec.amplitude) <= 1.0)
+        assert np.all(np.abs(output.amplitudes[n]) <= 1.0)
         assert np.all(rec.u_left >= rec.adabi - SWEEP_EPS)
         assert np.all(rec.adabi >= rec.berta - SWEEP_EPS)
         for chi in (rec.holevo_q, rec.holevo_r):

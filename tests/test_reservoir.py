@@ -39,10 +39,13 @@ LARGEST_LAMBDA = 1.3407807929942596e154
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError, match="gamma0"):
-            ReservoirParams(0.0, 1.0, 1)
-        with pytest.raises(ValueError, match="lambda_"):
-            ReservoirParams(1.0, -2.0, 1)
+        # an int beyond the float range used to raise OverflowError from math.isfinite
+        for bad in (0.0, 10**400):
+            with pytest.raises(ValueError, match="^gamma0 must be positive and finite"):
+                ReservoirParams(bad, 1.0, 1)
+        for bad in (-2.0, 10**400):
+            with pytest.raises(ValueError, match="^lambda_ must be positive and finite"):
+                ReservoirParams(1.0, bad, 1)
         with pytest.raises(ValueError, match="n_qubits"):
             ReservoirParams(1.0, 1.0, 0)
 
@@ -428,6 +431,17 @@ class TestModeGrid:
         grid = build_mode_grid(ReservoirParams(1.0, 1.0, 1), 8)
         kept = ModeGrid(grid.frequencies, grid.couplings)  # float64 passes through
         assert kept.frequencies is grid.frequencies and kept.couplings is grid.couplings
+
+    @pytest.mark.parametrize(
+        ("frequencies", "couplings"),
+        [([0.0], [0.0]), ([1.0, 1.0], [0.0, 0.0]), ([0.0], [1e-320]), ([0.0, 1e-320], [0.0, 0.0])],
+        ids=["one-uncoupled", "coincident-uncoupled", "norm-underflows", "subnormal-width"],
+    )
+    def test_hand_built_grid_without_width_refused(self, frequencies, couplings):
+        # a zero half-width used to raise ZeroDivisionError in the moments,
+        # and a subnormal one an invalid-value RuntimeWarning
+        with pytest.raises(ValueError, match="^mode grid underflows: spectral half-width"):
+            discrete_mode_oracle(ReservoirParams(1.0, 1.0, 2), [0, 1], ModeGrid(frequencies, couplings))
 
 
 class TestDiscreteModeOracle:

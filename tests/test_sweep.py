@@ -183,6 +183,12 @@ class TestConfigLimits:
             with pytest.raises(ConfigError, match="t_max_gamma0"):
                 validate_config(dataclasses.replace(self.BASE, t_max_gamma0=value))
 
+    @pytest.mark.parametrize("key", ["lambda_over_gamma0", "t_max_gamma0"])
+    def test_int_beyond_float_range_rejected(self, key):
+        # math.isfinite(10**400) used to raise OverflowError
+        with pytest.raises(ConfigError, match=f"^{key} must be positive and finite"):
+            validate_config(dataclasses.replace(self.BASE, **{key: 10**400}))
+
     def test_numpy_integers_accepted(self):
         cfg = dataclasses.replace(self.BASE, steps=np.int64(3), n_qubits_list=(np.int32(2),))
         assert validate_config(cfg) is cfg
@@ -225,16 +231,18 @@ class TestFigurePresets:
 class TestRunSweep:
     def test_row_count_and_order(self):
         out = run_sweep(SMALL)
-        assert list(out.ledgers) == [1, 2]
-        for ledger in out.ledgers.values():
-            ts = ledger.t.tolist()
-            assert len(ts) == 21
-            assert ts == sorted(ts)
-            assert ts[0] == 0.0 and ts[-1] == 2.0
+        assert list(out.ledgers) == list(out.amplitudes) == [1, 2]
+        ts = out.times.tolist()
+        assert len(ts) == 21
+        assert ts == sorted(ts)
+        assert ts[0] == 0.0 and ts[-1] == 2.0
+        for n, ledger in out.ledgers.items():
+            assert out.amplitudes[n].shape == ledger.u_left.shape == (21,)
 
     def test_initial_row_is_certain(self):
-        first = run_sweep(SMALL).ledgers[1]
-        assert first.amplitude[0] == 1.0
+        out = run_sweep(SMALL)
+        first = out.ledgers[1]
+        assert out.amplitudes[1][0] == 1.0
         for value in (first.u_left[0], first.berta[0], first.adabi[0]):
             assert abs(value) < 1e-9
         assert abs(first.mutual_info[0] - 2.0) < 1e-9
@@ -250,34 +258,38 @@ class TestRunSweep:
                 steps=3,
             )
         )
-        assert [n for n, ledger in out.ledgers.items() for _ in ledger.t] == [1, 1, 1, 5, 5, 5]
+        assert [n for n, ledger in out.ledgers.items() for _ in ledger.u_left] == [1, 1, 1, 5, 5, 5]
 
     def test_deterministic(self):
         assert render_csv(run_sweep(SMALL)) == render_csv(run_sweep(SMALL))
 
     @pytest.mark.parametrize("state", ["max_entangled", "bell_diagonal"])
     def test_ledger_blocks_equal_one_stacked_call(self, state):
-        # one N over two full ledger blocks and one row: every field is bit for
-        # bit what one bounds_record call on the whole time stack returns
+        # one N over two full ledger blocks and one row: C(t) is bit for bit
+        # decay_amplitude on the whole grid, and every ledger field what one
+        # bounds_record call on the whole time stack returns
         cfg = SweepConfig(
             state=state, lambda_over_gamma0=0.1, p=0.3, n_qubits_list=(2,),
             t_max_gamma0=30.0, steps=2 * sweep_mod._LEDGER_ROWS + 1,
         )
-        ledger = run_sweep(cfg).ledgers[2]
+        out = run_sweep(cfg)
         times = np.linspace(0.0, cfg.t_max_gamma0, cfg.steps)
         amplitudes = decay_amplitude(ReservoirParams(1.0, cfg.lambda_over_gamma0, 2), times)
         initial = max_entangled_initial() if state == "max_entangled" else bell_diagonal_initial(cfg.p)
         states = apply_memory_decay(initial, amplitudes)
-        whole = bounds_record(states, pauli_x(), pauli_z(), t=times, amplitude=amplitudes)
+        whole = bounds_record(states, pauli_x(), pauli_z())
+        pairs = {"times": (out.times, times), "C": (out.amplitudes[2], amplitudes)}
         for f in dataclasses.fields(BoundsRecord):
-            got, want = getattr(ledger, f.name), getattr(whole, f.name)
-            assert got.dtype == want.dtype and got.shape == want.shape, f.name
-            assert got.tobytes() == want.tobytes(), f.name
+            pairs[f.name] = getattr(out.ledgers[2], f.name), getattr(whole, f.name)
+        for name, (got, want) in pairs.items():
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_peak_does_not_grow_with_the_stack(self):
-        # One N of 20,001 rows.  The sweep keeps ten float64 columns (80 B a
-        # row) and evaluates one ledger block at a time; the temporaries of a
-        # whole-stack channel and ledger call would read ~940 B a row.
+        # One N of 20,001 rows.  The sweep keeps the time grid and nine float64
+        # columns (80 B a row) and evaluates one ledger block at a time; the
+        # temporaries of a whole-stack channel and ledger call would read
+        # ~940 B a row.
         cfg = SweepConfig(
             state="max_entangled", lambda_over_gamma0=0.1, n_qubits_list=(1,), steps=20_001
         )
@@ -291,7 +303,7 @@ class TestRunSweep:
         assert peak < 200 * cfg.steps
 
     def test_peak_grows_by_the_columns_and_the_grid(self):
-        # Per row the sweep keeps ten float64 columns and the time grid (88 B);
+        # Per row the sweep keeps nine float64 columns and the time grid (80 B);
         # C(t) evaluated on the whole grid at once would add its complex
         # temporaries (~136 B a row).
         cfg = SweepConfig(
@@ -369,8 +381,9 @@ class TestCsv:
         names = [f.name for f in dataclasses.fields(BoundsRecord)]
         expected = []
         for n, ledger in output.ledgers.items():
-            for i in range(len(ledger.t)):
-                row = [float(getattr(ledger, name)[i]) for name in names]
+            columns = [output.times, output.amplitudes[n]] + [getattr(ledger, name) for name in names]
+            for i in range(len(output.times)):
+                row = [float(column[i]) for column in columns]
                 expected.append(",".join([str(n)] + [format(v + 0.0, ".12g") for v in row]))
         lines = render_csv(output).splitlines()
         assert lines[lines.index(CSV_HEADER) + 1 :] == expected
@@ -379,15 +392,22 @@ class TestCsv:
         # every value sits in every column once: -0.0 must print as 0, the rest
         # as format(x, ".12g") prints them
         values = np.array([-0.0, 5e-324, 0.1 + 0.2, 1e16, 123456789.0123, np.nan])
-        width = len(dataclasses.fields(BoundsRecord))
-        columns = [np.roll(values, k) for k in range(width)]
-        output = SweepOutput(config=SMALL, ledgers={3: BoundsRecord(*columns)})
-        self._assert_rows_match_reference(output)
+
+        def output(columns, ns):
+            # t, then each N's C(t) and ledger fields, rolled apart by N
+            width = 1 + len(dataclasses.fields(BoundsRecord))
+            rolled = {n: [np.roll(columns, n + k) for k in range(1, 1 + width)] for n in ns}
+            return SweepOutput(
+                config=SMALL,
+                times=columns,
+                amplitudes={n: rows[0] for n, rows in rolled.items()},
+                ledgers={n: BoundsRecord(*rows[1:]) for n, rows in rolled.items()},
+            )
+
+        self._assert_rows_match_reference(output(values, [3]))
         # the same values tiled over two N of two full render blocks and one
         # row, so -0.0 also sits on the rows either side of each block seam
-        tiled = np.resize(values, 2 * sweep_mod._RENDER_ROWS + 1)
-        ledgers = {n: BoundsRecord(*[np.roll(tiled, n + k) for k in range(width)]) for n in (1, 4)}
-        self._assert_rows_match_reference(SweepOutput(config=SMALL, ledgers=ledgers))
+        self._assert_rows_match_reference(output(np.resize(values, 2 * sweep_mod._RENDER_ROWS + 1), [1, 4]))
 
     def test_sweep_rows_match_reference_format(self):
         self._assert_rows_match_reference(run_sweep(SMALL))
