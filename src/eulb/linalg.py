@@ -148,16 +148,6 @@ def _entropy(terms: np.ndarray) -> float | np.ndarray:
     return np.maximum(-terms.sum(axis=-1), 0.0)
 
 
-def entropy_from_eigenvalues(evals: np.ndarray) -> float | np.ndarray:
-    """-sum p log2 p over the last axis, with 0 log 0 = 0.
-
-    Eigenvalues in [-1e-10, 0) are clamped to 0.  The spectrum need not be
-    normalised: for a branch of probability p, p S(sigma/p) equals this
-    entropy of sigma's spectrum plus p log2 p.
-    """
-    return _entropy(_plogp(_real_array(evals, "evals").copy(order="K")))  # _plogp overwrites
-
-
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits of a 2x2 or 4x4 density matrix, or of each member of a stack."""
     # one input conversion; _plogp overwrites the fresh spectrum, which this call owns

@@ -357,12 +357,14 @@ def discrete_mode_oracle(
     excited qubit has C(t) = (N - 1 + s(t)) / N.
 
     s(t) = <e0|exp(-iHt)|e0> depends on H only through the Chebyshev moments
-    mu_k = <e0|T_k(H~)|e0> of H~ = (H - centre) / a, centre = (f_min +
-    f_max) / 2, a = (f_max - f_min) / 2 + sqrt(N) ||g||, whose spectrum lies
-    in [-1, 1].  A real three-term recurrence phi_{k+1} = 2 H~ phi_k -
-    phi_{k-1} from phi_0 = e0 gives mu_k for k < K, K the cut of the Bessel
-    series J_k(a t_max) at 1e-16: the expansion of exp(-iHt) in T_k(H~) has
-    terms bounded by |J_k(a t)|, so no moment past K matters for t <= t_max.
+    mu_k = <e0|T_k(H~)|e0> of H~ = (H - centre) / a.  With [lo, hi] the
+    range of H's diagonal (0 and f), centre = (lo + hi) / 2 and a =
+    (hi - lo) / 2 + sqrt(N) ||g||, the arm's norm added, H~'s spectrum lies
+    in [-1, 1] by Weyl's inequality, for any f.  A real three-term
+    recurrence phi_{k+1} = 2 H~ phi_k - phi_{k-1} from phi_0 = e0 gives mu_k
+    for k < K, K the cut of the Bessel series J_k(a t_max) at 1e-16: the
+    expansion of exp(-iHt) in T_k(H~) has terms bounded by |J_k(a t)|, so
+    no moment past K matters for t <= t_max.
     Each vector gives two moments, mu_{2k} = 2 <phi_k|phi_k> - mu_0 and
     mu_{2k+1} = 2 <phi_{k+1}|phi_k> - mu_1 (Weisse et al.), so the
     recurrence stops at phi_{ceil(K/2)}, five numpy calls per vector.  One
@@ -397,10 +399,11 @@ def discrete_mode_oracle(
     n = params.n_qubits
     freqs = mode_grid.frequencies
     coupling = math.sqrt(n) * mode_grid.couplings
-    f_min, f_max = float(freqs.min()), float(freqs.max())
-    centre = 0.5 * (f_min + f_max)
-    half_width = 0.5 * (f_max - f_min) + float(np.linalg.norm(coupling))
-    # a hand-built grid of coincident, uncoupled modes has no width (cf. build_mode_grid)
+    # the range of H's diagonal, the head's 0 included
+    lo, hi = min(float(freqs.min()), 0.0), max(float(freqs.max()), 0.0)
+    centre = 0.5 * (lo + hi)
+    half_width = 0.5 * (hi - lo) + float(np.linalg.norm(coupling))
+    # a hand-built grid of uncoupled modes, all at 0, has no width (cf. build_mode_grid)
     if not (half_width > 0 and math.isfinite(2.0 / half_width)):
         raise ValueError(f"mode grid underflows: spectral half-width {half_width!r}")
     phase = half_width * float(grid[-1])

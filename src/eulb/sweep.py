@@ -81,6 +81,9 @@ class SweepConfig:
     n_qubits_list:      qubit counts to sweep (duplicate-free)
     t_max_gamma0:       end of the time grid
     steps:              number of grid points including t = 0
+
+    A config checks itself when it is built (by the constructor,
+    dataclasses.replace or parse_config): a value out of range raises ConfigError.
     """
 
     state: str
@@ -90,46 +93,45 @@ class SweepConfig:
     t_max_gamma0: float = 20.0
     steps: int = 2001
 
-
-def validate_config(config: SweepConfig) -> SweepConfig:
-    if config.state not in _STATES:
-        raise ConfigError(f"state must be one of {_STATES}, got {config.state!r}")
-    lam = config.lambda_over_gamma0
-    if not _is_positive_finite(lam):
-        raise ConfigError(f"lambda_over_gamma0 must be positive and finite, got {lam!r}")
-    if not (_is_real(config.p) and 0.0 <= config.p <= 1.0):
-        raise ConfigError(f"p must be in [0, 1], got {config.p!r}")
-    ns = config.n_qubits_list
-    if not ns or any(not _is_int(n) or n < 1 for n in ns):
-        raise ConfigError(f"n_qubits_list must be integers >= 1, got {ns!r}")
-    if len(set(ns)) != len(ns):
-        raise ConfigError(f"n_qubits_list must not contain duplicates, got {ns!r}")
-    t_max = config.t_max_gamma0
-    if not _is_positive_finite(t_max):
-        raise ConfigError(f"t_max_gamma0 must be positive and finite, got {t_max!r}")
-    if not _is_int(config.steps) or config.steps < 2:
-        raise ConfigError(f"steps must be an integer >= 2, got {config.steps!r}")
-    if config.steps * len(ns) > _MAX_SWEEP_ROWS:
-        raise ConfigError(
-            f"steps x len(n_qubits_list) = {config.steps * len(ns)} exceeds the limit of "
-            f"{_MAX_SWEEP_ROWS} rows per sweep"
-        )
-    return config
+    def __post_init__(self) -> None:
+        if self.state not in _STATES:
+            raise ConfigError(f"state must be one of {_STATES}, got {self.state!r}")
+        lam = self.lambda_over_gamma0
+        if not _is_positive_finite(lam):
+            raise ConfigError(f"lambda_over_gamma0 must be positive and finite, got {lam!r}")
+        if not (_is_real(self.p) and 0.0 <= self.p <= 1.0):
+            raise ConfigError(f"p must be in [0, 1], got {self.p!r}")
+        ns = self.n_qubits_list
+        if not ns or any(not _is_int(n) or n < 1 for n in ns):
+            raise ConfigError(f"n_qubits_list must be integers >= 1, got {ns!r}")
+        if len(set(ns)) != len(ns):
+            raise ConfigError(f"n_qubits_list must not contain duplicates, got {ns!r}")
+        t_max = self.t_max_gamma0
+        if not _is_positive_finite(t_max):
+            raise ConfigError(f"t_max_gamma0 must be positive and finite, got {t_max!r}")
+        if not _is_int(self.steps) or self.steps < 2:
+            raise ConfigError(f"steps must be an integer >= 2, got {self.steps!r}")
+        if self.steps * len(ns) > _MAX_SWEEP_ROWS:
+            raise ConfigError(
+                f"steps x len(n_qubits_list) = {self.steps * len(ns)} exceeds the limit of "
+                f"{_MAX_SWEEP_ROWS} rows per sweep"
+            )
 
 
 def figure_preset(fig: int) -> SweepConfig:
     """Named sweep presets: 2/3 evolve the maximally entangled state in the
     non-Markovian (lambda = 0.1 gamma0) and Markovian (lambda = 40 gamma0)
-    regimes; 4/5 do the same for the Bell-diagonal state at p = 1/2."""
-    presets = {
-        2: SweepConfig(state="max_entangled", lambda_over_gamma0=0.1),
-        3: SweepConfig(state="max_entangled", lambda_over_gamma0=40.0),
-        4: SweepConfig(state="bell_diagonal", lambda_over_gamma0=0.1),
-        5: SweepConfig(state="bell_diagonal", lambda_over_gamma0=40.0),
+    regimes; 4/5 do the same for the Bell-diagonal state at p = 1/2.  Only
+    the preset asked for is built."""
+    presets = {  # state, lambda_over_gamma0; every other field defaults
+        2: ("max_entangled", 0.1),
+        3: ("max_entangled", 40.0),
+        4: ("bell_diagonal", 0.1),
+        5: ("bell_diagonal", 40.0),
     }
     if not _is_int(fig) or fig not in presets:
         raise ValueError(f"no preset {fig!r}; choose one of {sorted(presets)}")
-    return presets[fig]
+    return SweepConfig(*presets[fig])
 
 
 # --- configuration document -------------------------------------------------
@@ -174,7 +176,7 @@ def parse_config(text: str) -> SweepConfig:
     for required in ("state", "lambda_over_gamma0"):
         if required not in values:
             raise ConfigError(f"missing required key {required!r}")
-    return validate_config(SweepConfig(**values))  # type: ignore[arg-type]
+    return SweepConfig(**values)  # type: ignore[arg-type]
 
 
 def format_config(config: SweepConfig) -> str:
@@ -226,13 +228,13 @@ def _time_grid(config: SweepConfig) -> np.ndarray:
 
 
 def _reservoirs(config: SweepConfig) -> list[tuple[int, ReservoirParams]]:
-    """Each N in ascending order with its reservoir, after validating config.
+    """Each N in ascending order with its reservoir.
 
-    Building every ReservoirParams up front raises any refusal (N > 2**53,
-    an overflowing lambda) before a sweep or an oracle computes or writes
-    anything.  gamma0 is fixed to 1, so grid times coincide with gamma0*t.
+    Building every ReservoirParams up front raises the refusals that the
+    config's own check leaves (N > 2**53, an overflowing lambda) before a
+    sweep or an oracle computes or writes anything.  gamma0 is fixed to 1,
+    so grid times coincide with gamma0*t.
     """
-    validate_config(config)
     lam = config.lambda_over_gamma0
     ns = sorted(config.n_qubits_list)
     return [(n, ReservoirParams(gamma0=1.0, lambda_=lam, n_qubits=n)) for n in ns]
@@ -314,11 +316,11 @@ def write_sweep(config: SweepConfig, destination) -> None:
 
     Each ledger block is rendered, written and dropped before the next is
     computed: the working set is one block plus the time grid (8 B a row).  The
-    config is validated, every N's reservoir built and the time grid
-    computed before the first byte is written, so those refusals write
-    nothing.  A path that cannot be opened or written raises OSError naming
-    the path; an OSError from a file object propagates unchanged.  A fault
-    found once writing has begun (a write error, |C| > 1 + 1e-9 in the
+    config checked itself when built; every N's reservoir is built and the
+    time grid computed before the first byte is written, so no refusal
+    writes anything.  A path that cannot be opened or written raises OSError
+    naming the path; an OSError from a file object propagates unchanged.  A
+    fault found once writing has begun (a write error, |C| > 1 + 1e-9 in the
     channel, an eigenvalue below the entropy floor) raises and leaves a
     partial CSV: the header and the blocks written before it.
     """

@@ -175,6 +175,28 @@ def test_rate_that_overflows_exits_1(tmp_path, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "oracle"])
+@pytest.mark.parametrize("source", ["--config", "--fig"])
+def test_run_checks_its_config_once(tmp_path, monkeypatch, capsys, command, source):
+    # a SweepConfig checks lambda_over_gamma0 and t_max_gamma0 when it is
+    # built, and nothing checks it again: a --config run used to check both
+    # twice, in parse_config and again before the sweep or the oracle
+    calls = []
+    is_positive_finite = sweep_mod._is_positive_finite
+
+    def counting(value):
+        calls.append(value)
+        return is_positive_finite(value)
+
+    monkeypatch.setattr(sweep_mod, "_is_positive_finite", counting)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(TINY_CONFIG)
+    out = tmp_path / "out.csv"
+    argv = [command, source, str(path) if source == "--config" else "2"]
+    assert main(argv + (["--out", str(out)] if command == "sweep" else [])) == 0
+    assert len(calls) == 2
+
+
 def test_sweep_to_unwritable_path_exits_1_before_the_ledger(tmp_path, monkeypatch, capsys):
     # the destination is opened before the first block is computed
     def no_ledger(*args, **kwargs):

@@ -434,13 +434,32 @@ class TestModeGrid:
 
     @pytest.mark.parametrize(
         ("frequencies", "couplings"),
-        [([0.0], [0.0]), ([1.0, 1.0], [0.0, 0.0]), ([0.0], [1e-320]), ([0.0, 1e-320], [0.0, 0.0])],
+        [([0.0], [0.0]), ([0.0, 0.0], [0.0, 0.0]), ([0.0], [1e-320]), ([0.0, 1e-320], [0.0, 0.0])],
         ids=["one-uncoupled", "coincident-uncoupled", "norm-underflows", "subnormal-width"],
     )
     def test_hand_built_grid_without_width_refused(self, frequencies, couplings):
         # a zero half-width used to raise ZeroDivisionError in the moments,
         # and a subnormal one an invalid-value RuntimeWarning
         with pytest.raises(ValueError, match="^mode grid underflows: spectral half-width"):
+            discrete_mode_oracle(ReservoirParams(1.0, 1.0, 2), [0, 1], ModeGrid(frequencies, couplings))
+
+    def test_uncoupled_modes_away_from_zero_leave_the_qubit_excited(self):
+        # the diagonal 0, 1, 1 has width although the modes coincide; with the
+        # head uncoupled s(t) = 1, so C = 1 at every time
+        grid = ModeGrid([1.0, 1.0], [0.0, 0.0])
+        traj = discrete_mode_oracle(ReservoirParams(1.0, 1.0, 2), np.linspace(0.0, 5.0, 11), grid)
+        assert np.all(traj.amplitudes == 1.0)
+
+    @pytest.mark.parametrize(
+        ("frequencies", "couplings"),
+        [([1e300], [1e-100]), ([1e300, 1e300], [1e-100, 1.0])],
+        ids=["one-mode", "two-modes"],
+    )
+    def test_hand_built_grid_far_from_zero_refused(self, frequencies, couplings):
+        # the scaled diagonal and head, (f - centre) 2 / a and -2 centre / a,
+        # used to leave the float range with a RuntimeWarning; the range of
+        # the diagonal now spans 0 to 1e300, which the phase cap refuses
+        with pytest.raises(ValueError, match=r"^a t_max must be at most 1e\+06 .*got 5e\+299"):
             discrete_mode_oracle(ReservoirParams(1.0, 1.0, 2), [0, 1], ModeGrid(frequencies, couplings))
 
 
@@ -504,6 +523,22 @@ class TestDiscreteModeExactPropagation:
         params = ReservoirParams(1.0, lam, n)
         grid = build_mode_grid(params, modes)
         t = np.linspace(0.0, 3.0, 31)
+        traj = discrete_mode_oracle(params, t, grid)
+        assert np.max(np.abs(traj.amplitudes - _exact_amplitudes(params, t, grid))) <= 1e-12
+        assert traj.max_norm_error <= 1e-12
+
+    @pytest.mark.parametrize(
+        ("frequencies", "couplings"),
+        [([10.0], [0.1]), ([3.0], [0.5]), ([2.0, 4.0], [0.3, 0.3]), ([-7.0, -3.0], [0.4, 0.2])],
+    )
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_hand_built_grid_off_zero_matches_dense_eigh(self, frequencies, couplings, n):
+        # modes that do not straddle the head's 0 used to put an eigenvalue of
+        # the scaled H outside [-1, 1], where the Chebyshev series diverges:
+        # errors up to 1.6e12 at N = 1, with max_norm_error 0
+        params = ReservoirParams(1.0, 1.0, n)
+        grid = ModeGrid(frequencies, couplings)
+        t = np.linspace(0.0, 5.0, 11)
         traj = discrete_mode_oracle(params, t, grid)
         assert np.max(np.abs(traj.amplitudes - _exact_amplitudes(params, t, grid))) <= 1e-12
         assert traj.max_norm_error <= 1e-12

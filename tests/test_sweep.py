@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import math
 import re
 import tracemalloc
 
@@ -33,7 +34,6 @@ from eulb.sweep import (
     parse_config,
     render_csv,
     run_sweep,
-    validate_config,
     write_sweep,
 )
 
@@ -149,58 +149,78 @@ class TestConfigDocument:
 class TestConfigLimits:
     BASE = SweepConfig(state="max_entangled", lambda_over_gamma0=1.0)
 
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"state": "ghz"}, r"state must be one of \('max_entangled', 'bell_diagonal'\), got 'ghz'"),
+            ({"lambda_over_gamma0": 0.0}, "lambda_over_gamma0 must be positive and finite, got 0.0"),
+            ({"p": -0.1}, r"p must be in \[0, 1\], got -0.1"),
+            ({"n_qubits_list": ()}, r"n_qubits_list must be integers >= 1, got \(\)"),
+            ({"n_qubits_list": (0, 1)}, r"n_qubits_list must be integers >= 1, got \(0, 1\)"),
+            ({"n_qubits_list": (2, 2)}, r"n_qubits_list must not contain duplicates, got \(2, 2\)"),
+            ({"t_max_gamma0": math.inf}, "t_max_gamma0 must be positive and finite, got inf"),
+            ({"steps": 1}, "steps must be an integer >= 2, got 1"),
+            (
+                {"n_qubits_list": (1, 2), "steps": 250_001},
+                r"steps x len\(n_qubits_list\) = 500002 exceeds the limit of 500000 rows per sweep",
+            ),
+        ],
+        ids=["state", "lambda", "p", "no-n", "n-below-1", "duplicate-n", "t_max", "steps", "rows"],
+    )
+    def test_constructor_refuses(self, fields, message):
+        # the config checks itself when it is built: no invalid one exists
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SweepConfig(**{"state": "max_entangled", "lambda_over_gamma0": 1.0, **fields})
+
     def test_bool_steps_rejected(self):
         with pytest.raises(ConfigError, match="steps"):
-            validate_config(dataclasses.replace(self.BASE, steps=True))
+            dataclasses.replace(self.BASE, steps=True)
 
     def test_bool_qubit_count_rejected(self):
         with pytest.raises(ConfigError, match="n_qubits_list"):
-            validate_config(dataclasses.replace(self.BASE, n_qubits_list=(True, 2)))
+            dataclasses.replace(self.BASE, n_qubits_list=(True, 2))
 
     def test_float_steps_rejected(self):
         for steps in (5.0, np.float64(5.0)):
             with pytest.raises(ConfigError, match="steps"):
-                validate_config(dataclasses.replace(self.BASE, steps=steps))
+                dataclasses.replace(self.BASE, steps=steps)
 
     def test_float_qubit_count_rejected(self):
         with pytest.raises(ConfigError, match="n_qubits_list"):
-            validate_config(dataclasses.replace(self.BASE, n_qubits_list=(2.0,)))
+            dataclasses.replace(self.BASE, n_qubits_list=(2.0,))
 
     def test_numpy_reals_accepted(self):
-        cfg = dataclasses.replace(
+        dataclasses.replace(
             self.BASE, lambda_over_gamma0=np.int64(40), p=np.float32(0.1), t_max_gamma0=np.float32(2)
         )
-        assert validate_config(cfg) is cfg
 
     def test_bool_reals_rejected(self):
         for key in ("lambda_over_gamma0", "p", "t_max_gamma0"):
             for flag in (True, np.True_):
                 with pytest.raises(ConfigError, match=key):
-                    validate_config(dataclasses.replace(self.BASE, **{key: flag}))
+                    dataclasses.replace(self.BASE, **{key: flag})
 
     def test_non_number_end_time_rejected(self):
         for value in ("5", None):
             with pytest.raises(ConfigError, match="t_max_gamma0"):
-                validate_config(dataclasses.replace(self.BASE, t_max_gamma0=value))
+                dataclasses.replace(self.BASE, t_max_gamma0=value)
 
     @pytest.mark.parametrize("key", ["lambda_over_gamma0", "t_max_gamma0"])
     def test_int_beyond_float_range_rejected(self, key):
         # math.isfinite(10**400) used to raise OverflowError
         with pytest.raises(ConfigError, match=f"^{key} must be positive and finite"):
-            validate_config(dataclasses.replace(self.BASE, **{key: 10**400}))
+            dataclasses.replace(self.BASE, **{key: 10**400})
 
     def test_numpy_integers_accepted(self):
         cfg = dataclasses.replace(self.BASE, steps=np.int64(3), n_qubits_list=(np.int32(2),))
-        assert validate_config(cfg) is cfg
         assert parse_config(format_config(cfg)) == cfg
 
     def test_sweep_above_row_limit_rejected(self):
-        # validated only: a sweep at this size peaks near 150 MB and runs ~5 s
+        # built only: a sweep at this size peaks near 150 MB and runs ~5 s
         limit = sweep_mod._MAX_SWEEP_ROWS
         at_limit = dataclasses.replace(self.BASE, n_qubits_list=(1, 2), steps=limit // 2)
-        assert validate_config(at_limit) is at_limit
         with pytest.raises(ConfigError, match="steps x len"):
-            validate_config(dataclasses.replace(at_limit, steps=limit // 2 + 1))
+            dataclasses.replace(at_limit, steps=limit // 2 + 1)
         with pytest.raises(ConfigError, match="steps x len"):
             parse_config(
                 f"state = max_entangled\nlambda_over_gamma0 = 1\nsteps = {limit + 1}\n"
